@@ -1,13 +1,12 @@
-//! Criterion benchmark for the signature-index candidate pruning (PR 7)
-//! and the composed pruning-plus-maintenance path: the same punctured
-//! periodic stream replayed through one engine per candidate path —
-//! exhaustive recompute, incremental maintenance (Section 6.2), the
-//! signature-pruned shortlist alone, and the composed path (maintained
-//! shortlist seeding + level-1 run prefilter + signature bounds).
+//! Criterion benchmark for the composed signature-pruned candidate path:
+//! the same punctured periodic stream replayed through one engine per
+//! candidate path — exhaustive recompute, incremental maintenance
+//! (Section 6.2), and the composed path (warm-start τ-seeding + level-1 run
+//! prefilter + signature bounds).
 //!
 //! Each iteration replays the full stream through a fresh engine, so the
 //! numbers are whole-pipeline (construction and per-tick index maintenance
-//! included — the pruned path has to win *net of* its `on_push`/`on_write`
+//! included — the composed path has to win *net of* its `on_push`/`on_write`
 //! bookkeeping, not just per imputation).  Quick-mode compatible with the
 //! vendored criterion stub (`cargo bench --bench candidate_pruning --
 //! --quick` runs each case once).
@@ -41,6 +40,7 @@ fn workload() -> (usize, Vec<StreamTick>) {
 }
 
 fn config(len: usize, incremental: bool, pruning: bool) -> TkcmConfig {
+    // With `pruning` on, `incremental` has no effect (always composed).
     TkcmConfig::builder()
         .window_length(len.max(150))
         .pattern_length(24)
@@ -61,7 +61,6 @@ fn bench_pruning(c: &mut Criterion) {
     for (name, incremental, pruning) in [
         ("exhaustive", false, false),
         ("maintained", true, false),
-        ("pruned", false, true),
         ("composed", true, true),
     ] {
         group.bench_function(name, |b| {

@@ -44,23 +44,25 @@ pub struct TkcmConfig {
     /// When `false` (default) a candidate pattern containing a missing
     /// reference value is skipped entirely.
     pub allow_missing_in_patterns: bool,
-    /// Whether the streaming engine maintains the dissimilarity array `D`
-    /// incrementally per tick (Section 6.2) instead of recomputing it from
-    /// scratch at every imputation.  `true` (default) is the paper's
-    /// streaming algorithm; `false` keeps the exact `O(L·l·d)`-per-imputation
-    /// recompute path for cross-checking.  The flag only affects the engine
-    /// tick path: direct `TkcmImputer::impute` calls always recompute, and
+    /// With `pruning` off, whether the streaming engine maintains the
+    /// dissimilarity array `D` incrementally per tick (Section 6.2, `true`,
+    /// the default) instead of recomputing it from scratch at every
+    /// imputation (`false`, the exact `O(L·l·d)`-per-imputation path kept as
+    /// the oracle).  With `pruning` on the flag has no effect: the engine
+    /// runs the composed path.  The flag only affects the engine tick path:
+    /// direct `TkcmImputer::impute` calls always recompute, and
     /// non-decomposable dissimilarity measures (DTW) fall back to exact
     /// recomputation regardless of the flag.
     pub incremental: bool,
-    /// Whether the streaming engine prunes the candidate space through the
-    /// block-quantized signature index ([`crate::signature`]) before exact
-    /// dissimilarity evaluation.  `true` (default) keeps the engine's output
-    /// bit-identical to the exhaustive path (the bound is admissible) while
-    /// skipping most exact evaluations; `false` is the explicit opt-out that
-    /// restores the PR-2 incremental (or exact) path unchanged.  Pruning
-    /// requires dynamic-programming selection and an incrementally
-    /// decomposable dissimilarity (L2); other configurations ignore the flag.
+    /// Whether the streaming engine runs the composed path: candidate
+    /// pruning through the block-quantized signature index
+    /// ([`crate::signature`]), seeded from the previous imputation's anchor
+    /// lags.  `true` (default) keeps the engine's output bit-identical to
+    /// the exhaustive path (the bound is admissible) while skipping most
+    /// exact evaluations; `false` is the explicit opt-out that selects the
+    /// incremental (or exact) path per `incremental`.  Pruning requires
+    /// dynamic-programming selection and an incrementally decomposable
+    /// dissimilarity (L2); other configurations ignore the flag.
     pub pruning: bool,
 }
 
@@ -238,15 +240,16 @@ impl TkcmConfigBuilder {
         self
     }
 
-    /// Selects between the Section 6.2 incremental `D` maintenance (`true`,
-    /// default) and the exact recompute-all path (`false`).
+    /// With pruning off, selects between the Section 6.2 incremental `D`
+    /// maintenance (`true`, default) and the exact recompute-all path
+    /// (`false`); with pruning on it has no effect.
     pub fn incremental(mut self, value: bool) -> Self {
         self.incremental = Some(value);
         self
     }
 
-    /// Enables (`true`, default) or disables (`false`) signature-index
-    /// candidate pruning on the engine tick path.
+    /// Enables (`true`, default) or disables (`false`) the composed
+    /// signature-pruned path on the engine tick path.
     pub fn pruning(mut self, value: bool) -> Self {
         self.pruning = Some(value);
         self

@@ -8,14 +8,26 @@
 //! imputations can treat them as history, exactly as in Example 1 of the
 //! paper where `r2(13:40)` is an imputed value.
 //!
-//! When `TkcmConfig::incremental` is on (the default) the engine also owns
-//! one [`IncrementalDissimilarity`] state per active reference set and keeps
-//! it in lock-step with the window: advanced after every pushed tick
-//! (Section 6.2's `O(L·d)` sliding-aggregate update), patched after every
-//! imputed write-back, rebuilt lazily when a new reference set first appears,
-//! and evicted once no imputation has used it for a while (keeping an idle
-//! state alive costs one advance per tick ≈ a rebuild every `l` ticks, so
-//! idle states are dropped after `2l` unused ticks and rebuilt on demand).
+//! The engine dispatches every imputation to one of three candidate paths:
+//!
+//! * **Composed** (`TkcmConfig::pruning`, the default): a signature index
+//!   over all series, kept in lock-step with the window, prunes the
+//!   candidate space admissibly ([`TkcmImputer::impute_composed`]).  The
+//!   only state carried between imputations is a *warm start* per active
+//!   reference set: the lags of the previous imputation's `k` anchors, which
+//!   seed the pruning threshold.  A lag is a position, not a value, so the
+//!   entry needs no per-tick advance and no write-back patching; it is
+//!   evicted once no imputation has used it for `2l` ticks.
+//! * **Dense incremental** (`pruning` off, `incremental` on): one
+//!   [`IncrementalDissimilarity`] state per active reference set, advanced
+//!   after every pushed tick (Section 6.2's `O(L·d)` sliding-aggregate
+//!   update), patched after every imputed write-back, rebuilt lazily when a
+//!   new reference set first appears, and evicted after `2l` unused ticks
+//!   (keeping an idle state alive costs one advance per tick ≈ a rebuild
+//!   every `l` ticks).  It is faster than the composed path on small
+//!   windows.
+//! * **Exact** (both flags off): the exhaustive recompute, the oracle the
+//!   other two are checked against.
 
 use std::sync::LazyLock;
 use std::time::Instant;
@@ -25,27 +37,26 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp,
 use crate::config::TkcmConfig;
 use crate::diagnostics::PhaseBreakdown;
 use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
-use crate::incremental::{IncrementalDissimilarity, ShortlistMaintainer};
+use crate::incremental::IncrementalDissimilarity;
 use crate::signature::SignatureIndex;
 
 /// Fleet-wide pruning totals in the global metrics registry, in the same
-/// split as [`PruneStats`] (the composed-path counters — level-1 run skips,
-/// maintained-bound prunes, live shortlist sizes — ride as extra paths).
-/// Record-only: the imputation path never reads these back (`obs-read-only`
-/// policy).
-static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 6]> = LazyLock::new(|| {
+/// split as [`PruneStats`] (level-1 run skips and warm-start lags ride as
+/// extra paths; `maintained_pruned` is always 0 and has none).  Record-only:
+/// the imputation path never reads these back (`obs-read-only` policy).
+static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 5]> = LazyLock::new(|| {
     [
         "candidates",
         "shortlisted",
         "pruned",
         "level1_skipped",
-        "maintained_pruned",
         "maintained_lags",
     ]
     .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
 
-/// Maintainer lifecycle counters (created / evicted), record-only.
+/// Maintainer and warm-start lifecycle counters (created / evicted),
+/// record-only.
 static MAINTAINERS_CREATED: LazyLock<tkcm_obs::Counter> =
     LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_created_total", &[]));
 static MAINTAINERS_EVICTED: LazyLock<tkcm_obs::Counter> =
@@ -106,10 +117,15 @@ pub(crate) struct Maintainer {
     pub(crate) last_used: usize,
 }
 
-/// One shortlist maintainer (composed path) plus the tick it last served.
+/// The composed path's warm start for one reference set: the lags of the
+/// previous imputation's anchors (at most `k`, each in `l ..= L − l`) plus
+/// the tick it last served.  The lags only order τ-seeding; every `D` is
+/// still the exact fold, so a stale entry costs pruning, never bits.
 /// (`pub(crate)` for the snapshot codec in `persist`.)
-pub(crate) struct Shortlist {
-    pub(crate) state: ShortlistMaintainer,
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct WarmStart {
+    pub(crate) references: Vec<SeriesId>,
+    pub(crate) lags: Vec<u32>,
     pub(crate) last_used: usize,
 }
 
@@ -127,22 +143,21 @@ pub struct TkcmEngine {
     /// imputation.  Empty while no imputation has been needed and on the
     /// exact-recompute path.
     pub(crate) maintainers: Vec<Maintainer>,
-    /// Signature index over all series, present iff the pruned path is
-    /// active ([`TkcmEngine::is_pruned`]); kept in lock-step with the window
-    /// by `advance_tick`/`commit_write_back` and persisted in snapshots so a
-    /// recovered engine prunes with bit-identical envelopes.
+    /// Signature index over all series, present iff the composed path is
+    /// active ([`TkcmEngine::is_composed`]); kept in lock-step with the
+    /// window by `advance_tick`/`commit_write_back` and persisted in
+    /// snapshots so a recovered engine prunes with bit-identical envelopes.
     pub(crate) signatures: Option<SignatureIndex>,
-    /// Sparse shortlist maintainers, one per reference set that recently
-    /// served a *composed* imputation ([`TkcmEngine::is_composed`]); kept in
-    /// lock-step with the window like the dense maintainers and persisted in
-    /// snapshots so a recovered engine keeps its certified bounds.
-    pub(crate) shortlists: Vec<Shortlist>,
+    /// Warm starts, one per reference set that recently served a composed
+    /// imputation; persisted in snapshots so a recovered engine seeds — and
+    /// so counts its prunes — exactly like the live one.
+    pub(crate) warm_starts: Vec<WarmStart>,
     /// Level-1 run length of the composed path, fixed at construction from
     /// config geometry ([`crate::signature::level1_run_len`] — static per
     /// run, no obs read-back).
     pub(crate) level1_run_len: usize,
     /// Running totals of the per-imputation [`PruneStats`].  Persisted in
-    /// snapshots (format v5) so diagnostics survive a crash — unlike the
+    /// snapshots (since format v5) so diagnostics survive a crash — unlike the
     /// phase wall-clock durations, these are exact event counts with no
     /// legitimate reason to reset on recovery.
     pub(crate) prune_totals: PruneStats,
@@ -171,27 +186,7 @@ impl TkcmEngine {
     ///
     /// The engine's window length is taken from `config.window_length`.
     pub fn new(width: usize, config: TkcmConfig, catalog: Catalog) -> Result<Self, TsError> {
-        config.validate()?;
-        if width == 0 {
-            return Err(TsError::invalid("width", "need at least one stream"));
-        }
-        let window = StreamingWindow::new(width, config.window_length);
-        let imputer = TkcmImputer::new(config)?;
-        let signatures = signature_for(width, &imputer)?;
-        let level1_run_len = crate::signature::level1_run_len(imputer.config().pattern_length);
-        Ok(TkcmEngine {
-            imputer,
-            window,
-            catalog,
-            breakdown: PhaseBreakdown::default(),
-            imputation_count: 0,
-            tick_count: 0,
-            maintainers: Vec::new(),
-            signatures,
-            shortlists: Vec::new(),
-            level1_run_len,
-            prune_totals: PruneStats::default(),
-        })
+        Self::with_imputer(width, TkcmImputer::new(config)?, catalog)
     }
 
     /// Creates an engine with a pre-built imputer (custom dissimilarity).
@@ -215,7 +210,7 @@ impl TkcmEngine {
             tick_count: 0,
             maintainers: Vec::new(),
             signatures,
-            shortlists: Vec::new(),
+            warm_starts: Vec::new(),
             level1_run_len,
             prune_totals: PruneStats::default(),
         })
@@ -254,50 +249,34 @@ impl TkcmEngine {
 
     /// Whether the engine maintains *dense* `D` aggregates incrementally
     /// (the configuration flag is on *and* the dissimilarity measure
-    /// decomposes *and* pruning is not active — with pruning on, the
-    /// incremental flag selects the composed path's sparse shortlist
-    /// maintainers instead; see [`TkcmEngine::is_composed`]).
+    /// decomposes *and* the composed path is not active — with pruning on,
+    /// the `incremental` flag has no effect; see [`TkcmEngine::is_composed`]).
     pub fn is_incremental(&self) -> bool {
         self.imputer.config().incremental
             && self.imputer.supports_incremental()
             && !self.is_pruned()
     }
 
-    /// Whether the signature-pruned imputation path is active: the
-    /// `TkcmConfig::pruning` opt-in, dynamic-programming selection and a
-    /// decomposable (L2) dissimilarity.
+    /// Whether signature pruning is active: the `TkcmConfig::pruning`
+    /// opt-in, dynamic-programming selection and a decomposable (L2)
+    /// dissimilarity.  Pruning always runs the composed path, so this equals
+    /// [`TkcmEngine::is_composed`].
     pub fn is_pruned(&self) -> bool {
         self.signatures.is_some()
     }
 
-    /// Whether the *composed* path — signature pruning layered with sparse
-    /// shortlist maintenance — is active: both the `pruning` and
-    /// `incremental` opt-ins, on an imputer that admits pruning.  This is
-    /// the default dispatch (both flags default to on); `pruning` without
-    /// `incremental` selects the PR-7 pruned-only path, `incremental`
-    /// without `pruning` the PR-2 dense-maintainer path.
+    /// Whether the *composed* path — signature pruning seeded from a warm
+    /// start — is active.  This is the default dispatch; with `pruning` off,
+    /// `incremental` selects the dense Section 6.2 path and its absence the
+    /// exact recompute.
     pub fn is_composed(&self) -> bool {
-        self.is_pruned() && self.imputer.config().incremental
+        self.is_pruned()
     }
 
     /// The composed path's level-1 run length (candidate lags per coarse
     /// envelope bound), fixed at construction.
     pub fn level1_run_len(&self) -> usize {
         self.level1_run_len
-    }
-
-    /// Number of live shortlist maintainers (composed path; 0 otherwise).
-    pub fn shortlist_count(&self) -> usize {
-        self.shortlists.len()
-    }
-
-    /// Total lags currently carrying maintained shortlist entries, summed
-    /// over all live shortlist maintainers.
-    pub fn shortlisted_lag_count(&self) -> usize {
-        self.shortlists
-            .iter()
-            .map(|s| s.state.maintained_lags())
-            .sum()
     }
 
     /// Running totals of the pruning counters across all imputations so far
@@ -347,78 +326,41 @@ impl TkcmEngine {
         Ok(self.maintainers.len() - 1)
     }
 
-    /// Index of the shortlist maintainer for `references`, creating one
-    /// (synced to the window, entries empty — they seed lazily from the
-    /// imputation's own exact evaluations) if this reference set has no live
-    /// state yet.
-    fn shortlist_for(&mut self, references: &[SeriesId]) -> Result<usize, TsError> {
-        if let Some(idx) = self
-            .shortlists
+    /// Index of the warm start for `references`, creating an empty one (a
+    /// cold start) if this reference set has no live entry yet, and marking
+    /// it used at the current tick.
+    fn warm_start_for(&mut self, references: &[SeriesId]) -> usize {
+        let idx = match self
+            .warm_starts
             .iter()
-            .position(|s| s.state.references() == references)
+            .position(|w| w.references == references)
         {
-            return Ok(idx);
-        }
-        let config = self.imputer.config();
-        let mut state = ShortlistMaintainer::new(
-            references.to_vec(),
-            config.pattern_length,
-            config.window_length,
-            config.allow_missing_in_patterns,
-        )?;
-        // One advance syncs the fresh state to the window (a cold advance
-        // has no entries to slide, so this is O(d)).
-        state.advance(&self.window)?;
-        self.shortlists.push(Shortlist {
-            state,
-            last_used: self.tick_count,
-        });
-        MAINTAINERS_CREATED.inc();
-        Ok(self.shortlists.len() - 1)
+            Some(idx) => idx,
+            None => {
+                self.warm_starts.push(WarmStart {
+                    references: references.to_vec(),
+                    lags: Vec::new(),
+                    last_used: self.tick_count,
+                });
+                MAINTAINERS_CREATED.inc();
+                self.warm_starts.len() - 1
+            }
+        };
+        self.warm_starts[idx].last_used = self.tick_count;
+        idx
     }
 
-    /// Folds one imputation's [`PruneStats`] into the engine totals, the
-    /// fleet-wide metrics registry and the flight recorder (record-only).
-    fn record_prune_stats(&mut self, target: SeriesId, stats: &PruneStats) {
-        self.prune_totals.candidates += stats.candidates;
-        self.prune_totals.shortlisted += stats.shortlisted;
-        self.prune_totals.pruned += stats.pruned;
-        self.prune_totals.level1_skipped += stats.level1_skipped;
-        self.prune_totals.maintained_pruned += stats.maintained_pruned;
-        self.prune_totals.maintained_lags += stats.maintained_lags;
+    /// Folds one imputation's [`PruneStats`] into the engine totals and the
+    /// fleet-wide metrics registry (record-only).  The flight recorder gets
+    /// per-batch deltas from the runtime instead of one event per
+    /// imputation, which would evict batch context during outage storms.
+    fn record_prune_stats(&mut self, stats: &PruneStats) {
+        self.prune_totals += *stats;
         PRUNE_TOTALS[0].add(stats.candidates as u64);
         PRUNE_TOTALS[1].add(stats.shortlisted as u64);
         PRUNE_TOTALS[2].add(stats.pruned as u64);
         PRUNE_TOTALS[3].add(stats.level1_skipped as u64);
-        PRUNE_TOTALS[4].add(stats.maintained_pruned as u64);
-        PRUNE_TOTALS[5].add(stats.maintained_lags as u64);
-        tkcm_obs::recorder().record(
-            "prune_summary",
-            vec![
-                ("series", tkcm_obs::FieldValue::U64(u64::from(target.0))),
-                (
-                    "candidates",
-                    tkcm_obs::FieldValue::U64(stats.candidates as u64),
-                ),
-                (
-                    "shortlisted",
-                    tkcm_obs::FieldValue::U64(stats.shortlisted as u64),
-                ),
-                ("pruned", tkcm_obs::FieldValue::U64(stats.pruned as u64)),
-                (
-                    "level1_skipped",
-                    tkcm_obs::FieldValue::U64(stats.level1_skipped as u64),
-                ),
-                (
-                    "maintained_pruned",
-                    tkcm_obs::FieldValue::U64(stats.maintained_pruned as u64),
-                ),
-                (
-                    "maintained_lags",
-                    tkcm_obs::FieldValue::U64(stats.maintained_lags as u64),
-                ),
-            ],
-        );
+        PRUNE_TOTALS[4].add(stats.maintained_lags as u64);
     }
 
     /// Processes one arriving tick: pushes it into the window, advances the
@@ -447,11 +389,7 @@ impl TkcmEngine {
                 continue;
             }
             let (detail, maintainer) = if self.is_composed() {
-                let start = Instant::now();
-                let sidx = self.shortlist_for(&selection.references)?;
-                self.shortlists[sidx].last_used = self.tick_count;
-                self.breakdown.maintenance += start.elapsed();
-                let run_len = self.level1_run_len;
+                let widx = self.warm_start_for(&selection.references);
                 let index = self.signatures.as_ref().ok_or_else(|| {
                     TsError::invalid("signature", "composed path without a signature index")
                 })?;
@@ -460,19 +398,10 @@ impl TkcmEngine {
                     target,
                     &selection.references,
                     index,
-                    &mut self.shortlists[sidx].state,
-                    run_len,
+                    &mut self.warm_starts[widx].lags,
+                    self.level1_run_len,
                 )?;
-                self.record_prune_stats(target, &stats);
-                (detail, None)
-            } else if let Some(index) = self.signatures.as_ref() {
-                let (detail, stats) = self.imputer.impute_pruned(
-                    &self.window,
-                    target,
-                    &selection.references,
-                    index,
-                )?;
-                self.record_prune_stats(target, &stats);
+                self.record_prune_stats(&stats);
                 (detail, None)
             } else if incremental {
                 let start = Instant::now();
@@ -552,29 +481,24 @@ impl TkcmEngine {
             }
             self.breakdown.maintenance += start.elapsed();
         }
-        if self.is_composed() && !self.shortlists.is_empty() {
-            // Same lifecycle as the dense maintainers: evict whole states
-            // idle past the TTL, slide the survivors (each is O(entries·d),
-            // and entries self-TTL inside `ShortlistMaintainer::advance`).
-            let start = Instant::now();
+        if !self.warm_starts.is_empty() {
+            // Same TTL as the dense maintainers.  A warm start holds lags,
+            // not values, so nothing slides.
             let tick_count = self.tick_count;
             let ttl = self.maintainer_ttl();
-            let before_eviction = self.shortlists.len();
-            self.shortlists
-                .retain(|s| tick_count.saturating_sub(s.last_used) <= ttl);
-            MAINTAINERS_EVICTED.add((before_eviction - self.shortlists.len()) as u64);
-            for s in &mut self.shortlists {
-                s.state.advance(&self.window)?;
-            }
-            self.breakdown.maintenance += start.elapsed();
+            let before_eviction = self.warm_starts.len();
+            self.warm_starts
+                .retain(|w| tick_count.saturating_sub(w.last_used) <= ttl);
+            MAINTAINERS_EVICTED.add((before_eviction - self.warm_starts.len()) as u64);
         }
         Ok(())
     }
 
-    /// Commits one imputed value: ensures the reference set's maintainer
-    /// exists (creating it rebuilds from the *pre-write* window, matching
-    /// where the live path creates it before imputing), writes the value into
-    /// the window and patches every affected maintainer.
+    /// Commits one imputed value: ensures the reference set's maintainer or
+    /// warm start exists (creating a maintainer rebuilds from the
+    /// *pre-write* window, matching where the live path creates it before
+    /// imputing), writes the value into the window and patches every
+    /// affected maintainer.
     ///
     /// The write-back changes a current-tick slot from missing to imputed;
     /// every state whose reference set contains the target must fold the new
@@ -597,25 +521,20 @@ impl TkcmEngine {
         maintainer: Option<usize>,
     ) -> Result<(), TsError> {
         let incremental = self.is_incremental();
-        let composed = self.is_composed();
         if incremental && maintainer.is_none() {
             let start = Instant::now();
             let idx = self.maintainer_for(references)?;
             self.maintainers[idx].last_used = self.tick_count;
             self.breakdown.maintenance += start.elapsed();
         }
-        if composed {
-            // Mirror the live path's creation timing on WAL replay: the
-            // shortlist state for this reference set is created (synced,
-            // entries empty) before the write lands.  On the live path this
-            // finds the state `process_tick` already resolved.  Replayed
-            // engines do not re-run imputations, so their entries re-seed
-            // lazily — which only affects *pruning effectiveness*, never
-            // imputed bits (every `D` is exact either way).
-            let start = Instant::now();
-            let idx = self.shortlist_for(references)?;
-            self.shortlists[idx].last_used = self.tick_count;
-            self.breakdown.maintenance += start.elapsed();
+        if self.is_composed() {
+            // Mirror the live path's creation and TTL timing on WAL replay:
+            // the warm start for this reference set is created (empty) or
+            // touched.  On the live path this finds the entry `process_tick`
+            // already resolved.  Replayed engines do not re-run selection,
+            // so their lags stay as they were — which only affects *pruning
+            // effectiveness*, never imputed bits (every `D` is exact).
+            self.warm_start_for(references);
         }
         self.window.write_imputed(target, 0, value)?;
         if let Some(index) = self.signatures.as_mut() {
@@ -629,15 +548,6 @@ impl TkcmEngine {
             for m in &mut self.maintainers {
                 if m.state.references().contains(&target) {
                     m.state.on_write(&self.window, target, 0, None)?;
-                }
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
-        if composed {
-            let start = Instant::now();
-            for s in &mut self.shortlists {
-                if s.state.references().contains(&target) {
-                    s.state.on_write(&self.window, target, 0, None)?;
                 }
             }
             self.breakdown.maintenance += start.elapsed();
@@ -991,13 +901,14 @@ mod tests {
                 .unwrap();
             TkcmEngine::new(width, config, catalog_for(width)).unwrap()
         };
-        // The four dispatch corners: (pruning, incremental).
+        // The four flag corners: (pruning, incremental).  Pruning always
+        // runs the composed path, so `incremental` only matters without it.
         let mut composed = mk(true, true);
         let mut pruned = mk(true, false);
         let mut incremental = mk(false, true);
         let mut exhaustive = mk(false, false);
         assert!(composed.is_pruned() && composed.is_composed() && !composed.is_incremental());
-        assert!(pruned.is_pruned() && !pruned.is_composed() && !pruned.is_incremental());
+        assert!(pruned.is_pruned() && pruned.is_composed() && !pruned.is_incremental());
         assert!(!incremental.is_pruned() && incremental.is_incremental());
         assert!(!exhaustive.is_pruned() && !exhaustive.is_incremental());
 
@@ -1053,23 +964,54 @@ mod tests {
             totals.pruned > 0,
             "expected some pruning on a periodic signal: {totals:?}"
         );
-        assert_eq!(
-            totals.maintained_lags, 0,
-            "pruned-only path has no shortlists"
-        );
         let ctotals = composed.prune_totals();
-        assert_eq!(ctotals.candidates, totals.candidates);
-        assert!(
-            ctotals.pruned > 0,
-            "expected composed pruning on a periodic signal: {ctotals:?}"
-        );
+        assert_eq!(ctotals, totals, "pruning ignores the incremental flag");
         assert!(
             ctotals.maintained_lags > 0,
-            "composed path should carry shortlist entries: {ctotals:?}"
+            "composed path should offer warm-start lags: {ctotals:?}"
         );
-        assert!(composed.shortlist_count() > 0);
-        assert_eq!(pruned.shortlist_count(), 0);
+        assert_eq!(ctotals.maintained_pruned, 0);
+        assert!(!composed.warm_starts.is_empty());
         assert_eq!(incremental.prune_totals(), PruneStats::default());
+    }
+
+    #[test]
+    fn second_outage_tick_starts_warm_with_k_lags() {
+        // One outage of 3 ticks on a period-32 sawtooth: the first tick has
+        // no warm start for its reference set, every later tick is offered
+        // exactly the k anchor lags the previous tick selected.
+        let width = 3;
+        let k = 3;
+        let config = small_config(256, 8, k, 2);
+        let mut engine = TkcmEngine::new(width, config, catalog_for(width)).unwrap();
+        let saw = |t: usize, shift: usize| ((t + shift) % 32) as f64;
+        let mut offered = Vec::new();
+        for t in 0..240usize {
+            let missing = (200..203).contains(&t);
+            let tick = StreamTick::new(
+                Timestamp::new(t as i64),
+                vec![
+                    if missing { None } else { Some(saw(t, 0)) },
+                    Some(saw(t, 5)),
+                    Some(saw(t, 11)),
+                ],
+            );
+            let before = engine.prune_totals();
+            let outcome = engine.process_tick(&tick).unwrap();
+            if missing {
+                assert_eq!(outcome.imputations.len(), 1);
+                assert!(outcome.imputations[0].detail.complete);
+                offered.push(
+                    engine
+                        .prune_totals()
+                        .saturating_delta(&before)
+                        .maintained_lags,
+                );
+            }
+        }
+        assert_eq!(offered, vec![0, k, k]);
+        // The warm start outlives the outage by the 2l-tick TTL only.
+        assert!(engine.warm_starts.is_empty());
     }
 
     #[test]

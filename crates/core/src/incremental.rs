@@ -381,388 +381,6 @@ impl IncrementalDissimilarity {
     }
 }
 
-/// Per-float-update relative slack accrued into a maintained entry's error
-/// radius.  One IEEE add/sub introduces at most `ε·|result|` of rounding and
-/// the pair delta `(x−y)²` carries `O(ε)` of its own; 16 ulps per update is a
-/// generous over-bound, and over-shooting the radius only *weakens* pruning
-/// (the bound gets smaller), never correctness.
-const ENTRY_ERR_ULP: f64 = 16.0 * f64::EPSILON;
-
-/// Relative error radius assigned at seeding time: the seeded `sum_sq` is
-/// bit-equal to the exact fold's accumulator, whose own rounding against the
-/// mathematically exact sum is below `d·l·ε ≈ 5e−14` relative; `1e−12` covers
-/// it with two orders of magnitude to spare.
-const ENTRY_SEED_ERR: f64 = 1e-12;
-
-/// Deflation applied when turning a maintained sum into a certified lower
-/// bound, mirroring the signature index's Jensen-bound deflate.
-const ENTRY_LB_DEFLATE: f64 = 1.0 - 1e-9;
-
-/// Certified lower-bound state for one shortlisted candidate lag.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct ShortlistEntry {
-    /// Running Σ of squared differences over observed pairs, maintained by
-    /// the same sliding updates as [`IncrementalDissimilarity`].  Seeded
-    /// bit-equal to the exact fold; drifts only by tracked float rounding.
-    pub(crate) sum_sq: f64,
-    /// Conservative radius on `|sum_sq − exact fold|`, accrued per float
-    /// update and reset whenever the entry is re-seeded from an exact
-    /// evaluation.  `sum_sq − err` is a certified admissible lower bound.
-    pub(crate) err: f64,
-    /// Number of observed pairs (integer-exact — trusted absolutely, so in
-    /// strict mode `observed ≠ total` proves `D = +∞` without evaluation).
-    pub(crate) observed: u32,
-    /// Maintainer tick at which the entry last earned its keep (seeded,
-    /// re-seeded, or used to prune); entries idle past the TTL are evicted.
-    pub(crate) last_hit: u64,
-}
-
-/// Lower-bound verdict from a maintained shortlist entry.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MaintainedBound {
-    /// Certified admissible lower bound on the candidate's unscaled
-    /// `sum_sq` (hence on `D²`, since the Definition 2 rescale is ≥ 1).
-    pub lb_sq: f64,
-    /// `true` when the integer pair count proves a missing pair in strict
-    /// mode: the exact path would return `D = +∞` *exactly*.
-    pub certain_missing: bool,
-}
-
-/// Sparse sliding aggregates for the *shortlisted* candidate lags only —
-/// the composed-path counterpart of [`IncrementalDissimilarity`], which
-/// maintains all `J = L − 2l + 1` lags.
-///
-/// The composed imputation path ([`crate::imputer::TkcmImputer::impute_composed`])
-/// seeds an entry whenever it exact-evaluates a candidate, from the exact
-/// fold's own `(sum_sq, observed)` components, so re-admission of a pruned
-/// lag costs nothing beyond the exact evaluation the path was going to do
-/// anyway — and the re-seeded aggregates are *bit-identical* to the exact
-/// fold by construction (the shortlist-maintenance invariant recorded in
-/// ROADMAP.md).  Between seedings the entry slides with the window at O(d)
-/// per tick, carrying a conservative rounding-error radius `err` so that
-/// `sum_sq − err` stays a certified admissible lower bound on the exact
-/// fold's value; the bound is *never* used as a dissimilarity — every `D`
-/// that enters anchor selection is still computed by the exact fold.
-#[derive(Clone, Debug)]
-pub struct ShortlistMaintainer {
-    // `pub(crate)` for the snapshot codec: recovered entries must keep their
-    // exact accumulated bits (and error radii) so a recovered engine prunes
-    // exactly like the live one did.
-    pub(crate) references: Vec<SeriesId>,
-    pub(crate) pattern_length: usize,
-    pub(crate) window_length: usize,
-    pub(crate) allow_missing: bool,
-    /// Active entries keyed by lag.  A BTreeMap so iteration (and snapshot
-    /// encoding) order is deterministic.
-    pub(crate) entries: std::collections::BTreeMap<u32, ShortlistEntry>,
-    /// Per-reference value at age `L − 1` after the last sync point (same
-    /// role as [`IncrementalDissimilarity::prev_oldest`]).
-    pub(crate) prev_oldest: Vec<Option<f64>>,
-    /// Window time of the last sync.
-    pub(crate) last_time: Option<Timestamp>,
-    /// Advances seen; the clock for `last_hit` TTLs.
-    pub(crate) ticks: u64,
-}
-
-impl ShortlistMaintainer {
-    /// Creates an empty maintainer for the given reference set.
-    pub fn new(
-        references: Vec<SeriesId>,
-        pattern_length: usize,
-        window_length: usize,
-        allow_missing: bool,
-    ) -> Result<Self, TsError> {
-        if references.is_empty() {
-            return Err(TsError::invalid(
-                "references",
-                "shortlist state needs at least one reference series",
-            ));
-        }
-        if pattern_length == 0 {
-            return Err(TsError::invalid("l", "pattern length must be positive"));
-        }
-        if window_length < 2 * pattern_length {
-            return Err(TsError::invalid(
-                "L",
-                "window must hold the query pattern plus one candidate (L >= 2l)",
-            ));
-        }
-        let width = references.len();
-        Ok(ShortlistMaintainer {
-            references,
-            pattern_length,
-            window_length,
-            allow_missing,
-            entries: std::collections::BTreeMap::new(),
-            prev_oldest: vec![None; width],
-            last_time: None,
-            ticks: 0,
-        })
-    }
-
-    /// The reference series the state is maintained for.
-    pub fn references(&self) -> &[SeriesId] {
-        &self.references
-    }
-
-    /// The pattern length `l` the state is maintained for.
-    pub fn pattern_length(&self) -> usize {
-        self.pattern_length
-    }
-
-    /// The window length `L` the state is maintained for.
-    pub fn window_length(&self) -> usize {
-        self.window_length
-    }
-
-    /// Whether the state is in lock-step with the window.
-    pub fn is_synced(&self, window: &StreamingWindow) -> bool {
-        self.last_time.is_some() && self.last_time == window.current_time()
-    }
-
-    /// Number of lags currently carrying a maintained entry.
-    pub fn maintained_lags(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// One sliding-aggregate update per entry + the delta's own rounding,
-    /// tracked into the error radius.
-    fn apply(entry: &mut ShortlistEntry, delta: f64, enter: bool) {
-        if enter {
-            entry.sum_sq += delta;
-            entry.observed += 1;
-        } else {
-            entry.sum_sq -= delta;
-            entry.observed = entry.observed.saturating_sub(1);
-        }
-        entry.err += (entry.sum_sq.abs() + delta.abs()) * ENTRY_ERR_ULP;
-    }
-
-    /// Slides every active entry forward by one tick (O(d) per entry).  When
-    /// the state is not exactly one tick behind the window the entries are
-    /// dropped instead — they re-seed lazily from the next imputation's exact
-    /// evaluations, so a desync costs exactly what a cold start costs.
-    pub fn advance(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        let now = window
-            .current_time()
-            .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
-        let one_step = self.last_time.is_some() && window.time_of_age(1) == self.last_time;
-        self.ticks += 1;
-        if !one_step {
-            self.entries.clear();
-        } else if !self.entries.is_empty() {
-            let l = self.pattern_length;
-            for (ri, &r) in self.references.iter().enumerate() {
-                let buf = window.buffer(r)?;
-                let y_new = buf.recent(0);
-                let y_old = buf.recent(l);
-                let evicted = self.prev_oldest[ri];
-                for (&lag, entry) in self.entries.iter_mut() {
-                    let lag = lag as usize;
-                    if let (Some(x), Some(y)) = (buf.recent(lag), y_new) {
-                        Self::apply(entry, (x - y) * (x - y), true);
-                    }
-                    let x = if lag + l == self.window_length {
-                        evicted
-                    } else {
-                        buf.recent(lag + l)
-                    };
-                    if let (Some(x), Some(y)) = (x, y_old) {
-                        Self::apply(entry, (x - y) * (x - y), false);
-                    }
-                }
-            }
-            // TTL ~ l/2: an entry costs ~2d flops per tick to slide but
-            // saves at most one O(d·l) exact fold when it prunes, so it
-            // stops paying for itself after roughly l/2 idle ticks — past
-            // that, lazy re-admission (one exact fold) is cheaper than the
-            // accumulated slides.  Entries that keep earning their keep are
-            // re-hit (seeded or touched) every imputation and never expire;
-            // the floor keeps tiny-l maintainers from thrashing across the
-            // short gaps inside one outage burst.
-            let ttl = (self.pattern_length / 2).max(8) as u64;
-            let ticks = self.ticks;
-            self.entries
-                .retain(|_, e| ticks.saturating_sub(e.last_hit) <= ttl);
-        }
-        self.snapshot_oldest(window)?;
-        self.last_time = Some(now);
-        Ok(())
-    }
-
-    /// Invalidation hook for a value written into the window after the fact —
-    /// the per-entry mirror of [`IncrementalDissimilarity::on_write`].
-    pub fn on_write(
-        &mut self,
-        window: &StreamingWindow,
-        series: SeriesId,
-        age: usize,
-        old: Option<f64>,
-    ) -> Result<(), TsError> {
-        let Some(ri) = self.references.iter().position(|&r| r == series) else {
-            return Ok(());
-        };
-        if !self.is_synced(window) {
-            // Same reasoning as the dense maintainer: an unsynced state
-            // cannot patch the write coherently, so drop everything.
-            self.entries.clear();
-            self.last_time = None;
-            return Ok(());
-        }
-        let l = self.pattern_length;
-        let buf = window.buffer(series)?;
-        let new = buf.recent(age);
-        if new == old {
-            return Ok(());
-        }
-        // Query-side usage: column `age` of the query pairs against every
-        // maintained lag, but only while `age < l`.
-        if age < l {
-            for (&lag, entry) in self.entries.iter_mut() {
-                let x = buf.recent(lag as usize + age);
-                if let (Some(x), Some(y)) = (x, old) {
-                    Self::apply(entry, (x - y) * (x - y), false);
-                }
-                if let (Some(x), Some(y)) = (x, new) {
-                    Self::apply(entry, (x - y) * (x - y), true);
-                }
-            }
-        }
-        // Candidate-side usage: the slot is the candidate value of lag
-        // `age − q` paired against query column at age `q < l`.
-        for q in 0..l.min(age + 1) {
-            let lag = age - q;
-            if lag < l || lag > self.window_length - l {
-                continue;
-            }
-            let Some(entry) = self.entries.get_mut(&(lag as u32)) else {
-                continue;
-            };
-            let y = buf.recent(q);
-            if let (Some(x), Some(y)) = (old, y) {
-                Self::apply(entry, (x - y) * (x - y), false);
-            }
-            if let (Some(x), Some(y)) = (new, y) {
-                Self::apply(entry, (x - y) * (x - y), true);
-            }
-        }
-        if age == self.window_length - 1 {
-            self.prev_oldest[ri] = new;
-        }
-        Ok(())
-    }
-
-    /// (Re-)seeds the entry at `lag` from an exact evaluation's components:
-    /// `sum_sq` bit-equal to the exact fold's accumulator, `observed` its
-    /// pair count.  Resets the error radius to the seed slack.
-    pub fn seed(&mut self, lag: usize, sum_sq: f64, observed: u32) {
-        if lag < self.pattern_length || lag > self.window_length - self.pattern_length {
-            return;
-        }
-        let lag32 = lag as u32;
-        // Cap the shortlist so a cold-start exhaustive sweep cannot bloat
-        // the per-tick advance to O(J·d); refreshing an existing entry is
-        // always allowed, so hot lags never bounce off the cap.
-        if self.entries.len() >= self.max_entries() && !self.entries.contains_key(&lag32) {
-            return;
-        }
-        let last_hit = self.ticks;
-        self.entries.insert(
-            lag32,
-            ShortlistEntry {
-                sum_sq,
-                err: sum_sq.abs() * ENTRY_SEED_ERR,
-                observed,
-                last_hit,
-            },
-        );
-    }
-
-    /// Shortlist capacity: generous for the composed path's k-seeding and
-    /// survivor re-seeding, but far below J at paper scale.
-    fn max_entries(&self) -> usize {
-        (32 * self.pattern_length).max(1024)
-    }
-
-    /// The certified bound for `lag`, if an entry is maintained there.
-    pub fn bound(&self, lag: usize) -> Option<MaintainedBound> {
-        let lag32 = u32::try_from(lag).ok()?;
-        let entry = self.entries.get(&lag32)?;
-        let total = (self.references.len() * self.pattern_length) as u32;
-        Some(MaintainedBound {
-            lb_sq: (entry.sum_sq - entry.err).max(0.0) * ENTRY_LB_DEFLATE,
-            certain_missing: !self.allow_missing && entry.observed != total,
-        })
-    }
-
-    /// Marks the entry at `lag` as useful (its bound pruned the candidate or
-    /// fed τ-seeding), refreshing its TTL.
-    pub fn touch(&mut self, lag: usize) {
-        let ticks = self.ticks;
-        if let Ok(lag32) = u32::try_from(lag) {
-            if let Some(e) = self.entries.get_mut(&lag32) {
-                e.last_hit = ticks;
-            }
-        }
-    }
-
-    /// Maintained lags in ascending order of their (approximate) `sum_sq` —
-    /// the τ-seeding order of the composed path.  Ties break by lag so the
-    /// order is deterministic.
-    pub fn lags_by_sum(&self) -> Vec<usize> {
-        let mut lags: Vec<(f64, u32)> = self
-            .entries
-            .iter()
-            .map(|(&lag, e)| (e.sum_sq, lag))
-            .collect();
-        lags.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        lags.into_iter().map(|(_, lag)| lag as usize).collect()
-    }
-
-    /// Verifies the state is usable for an imputation over `window` with the
-    /// given reference set and pattern length.
-    pub fn ensure_compatible(
-        &self,
-        window: &StreamingWindow,
-        references: &[SeriesId],
-        pattern_length: usize,
-        allow_missing: bool,
-    ) -> Result<(), TsError> {
-        if self.references != references {
-            return Err(TsError::invalid(
-                "references",
-                "shortlist state was built for a different reference set",
-            ));
-        }
-        if self.pattern_length != pattern_length || self.allow_missing != allow_missing {
-            return Err(TsError::invalid(
-                "config",
-                "shortlist state was built for a different configuration",
-            ));
-        }
-        if self.window_length != window.length() {
-            return Err(TsError::invalid(
-                "L",
-                "shortlist state was built for a different window length",
-            ));
-        }
-        if !self.is_synced(window) {
-            return Err(TsError::invalid(
-                "state",
-                "shortlist state is out of sync with the window; call advance() after every push_tick",
-            ));
-        }
-        Ok(())
-    }
-
-    fn snapshot_oldest(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        for (ri, &r) in self.references.iter().enumerate() {
-            self.prev_oldest[ri] = window.value_recent(r, self.window_length - 1)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1090,210 +708,6 @@ mod tests {
         assert!(state
             .ensure_compatible(&other, &[SeriesId(1)], 2, false)
             .is_err());
-    }
-
-    /// From-scratch unscaled components at one lag, reference-major and
-    /// chronological — the exact fold the composed path's `exact_candidate`
-    /// computes, used as ground truth for the shortlist entries.
-    fn exact_components(
-        window: &StreamingWindow,
-        refs: &[SeriesId],
-        l: usize,
-        lag: usize,
-    ) -> (f64, u32) {
-        let mut sum_sq = 0.0;
-        let mut observed = 0u32;
-        for &r in refs {
-            for col in 0..l {
-                let y = window.value_recent(r, l - 1 - col).unwrap();
-                let x = window.value_recent(r, lag + (l - 1 - col)).unwrap();
-                if let (Some(x), Some(y)) = (x, y) {
-                    sum_sq += (x - y) * (x - y);
-                    observed += 1;
-                }
-            }
-        }
-        (sum_sq, observed)
-    }
-
-    #[test]
-    fn shortlist_entries_stay_certified_lower_bounds() {
-        // Seed entries from exact components, slide for many ticks with
-        // gaps and write-backs, and assert the invariant the composed path
-        // relies on: the bound never exceeds the exact fold's sum_sq, and in
-        // strict mode the integer pair count matches from-scratch exactly.
-        let capacity = 32;
-        let l = 4;
-        let refs = vec![SeriesId(0), SeriesId(1)];
-        let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
-        let total = (refs.len() * l) as u32;
-        for t in 0..(4 * capacity) {
-            let v0 = if t % 9 == 4 {
-                None
-            } else {
-                Some((t as f64 * 0.61).sin() * 7.0)
-            };
-            let v1 = if t % 13 == 6 {
-                None
-            } else {
-                Some((t as f64 * 0.43).cos() * 3.0)
-            };
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v0, v1]))
-                .unwrap();
-            sm.advance(&window).unwrap();
-            if t % 9 == 4 {
-                // Engine-style write-back at age 0.
-                window.write_imputed(SeriesId(0), 0, 1.25).unwrap();
-                sm.on_write(&window, SeriesId(0), 0, None).unwrap();
-            }
-            let filled = window.filled();
-            if filled < 2 * l {
-                continue;
-            }
-            // Seed a spread of lags on some ticks only, so other ticks
-            // exercise multi-tick sliding between seedings.
-            if t % 5 == 0 {
-                for lag in [l, l + 3, filled - l] {
-                    let (sum_sq, observed) = exact_components(&window, &refs, l, lag);
-                    sm.seed(lag, sum_sq, observed);
-                }
-            }
-            for lag in l..=(filled - l) {
-                let Some(bound) = sm.bound(lag) else { continue };
-                let (exact_sq, observed) = exact_components(&window, &refs, l, lag);
-                assert!(
-                    bound.lb_sq <= exact_sq,
-                    "tick {t} lag {lag}: lb {} > exact {exact_sq}",
-                    bound.lb_sq
-                );
-                assert_eq!(
-                    bound.certain_missing,
-                    observed != total,
-                    "tick {t} lag {lag}: pair count drifted"
-                );
-            }
-        }
-        assert!(sm.maintained_lags() > 0);
-    }
-
-    #[test]
-    fn shortlist_desync_and_unsynced_write_drop_entries() {
-        let capacity = 16;
-        let l = 3;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..capacity {
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t as i64),
-                    vec![Some(t as f64)],
-                ))
-                .unwrap();
-            sm.advance(&window).unwrap();
-        }
-        sm.seed(l, 1.0, l as u32);
-        assert_eq!(sm.maintained_lags(), 1);
-        // Push without advancing, then write: the unsynced write must clear.
-        window
-            .push_tick(&StreamTick::new(
-                Timestamp::new(capacity as i64),
-                vec![None],
-            ))
-            .unwrap();
-        window.write_imputed(SeriesId(0), 0, 2.0).unwrap();
-        sm.on_write(&window, SeriesId(0), 0, None).unwrap();
-        assert_eq!(sm.maintained_lags(), 0);
-        assert!(!sm.is_synced(&window));
-        // A later advance resyncs with no entries (they re-seed lazily).
-        window
-            .push_tick(&StreamTick::new(
-                Timestamp::new(capacity as i64 + 1),
-                vec![Some(1.0)],
-            ))
-            .unwrap();
-        sm.advance(&window).unwrap();
-        assert!(sm.is_synced(&window));
-        assert_eq!(sm.maintained_lags(), 0);
-    }
-
-    #[test]
-    fn shortlist_ttl_evicts_idle_entries() {
-        let capacity = 12;
-        let l = 2;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
-        let mut t = 0i64;
-        let mut push = |window: &mut StreamingWindow, sm: &mut ShortlistMaintainer| {
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t), vec![Some(t as f64)]))
-                .unwrap();
-            sm.advance(window).unwrap();
-            t += 1;
-        };
-        for _ in 0..capacity {
-            push(&mut window, &mut sm);
-        }
-        sm.seed(l, 0.5, l as u32);
-        sm.seed(l + 1, 0.5, l as u32);
-        // Keep touching one entry; the other must age out after L idle ticks.
-        for _ in 0..(capacity + 2) {
-            push(&mut window, &mut sm);
-            sm.touch(l);
-        }
-        assert!(sm.bound(l).is_some(), "touched entry evicted");
-        assert!(sm.bound(l + 1).is_none(), "idle entry kept past TTL");
-    }
-
-    #[test]
-    fn shortlist_lags_by_sum_orders_ascending() {
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 2, 12, true).unwrap();
-        sm.seed(4, 9.0, 2);
-        sm.seed(2, 1.0, 2);
-        sm.seed(7, 4.0, 2);
-        sm.seed(3, 4.0, 2);
-        assert_eq!(sm.lags_by_sum(), vec![2, 3, 7, 4]);
-    }
-
-    #[test]
-    fn shortlist_constructor_and_compatibility_checks() {
-        assert!(ShortlistMaintainer::new(vec![], 2, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8, false).is_err());
-        let capacity = 12;
-        let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity, false).unwrap();
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_err());
-        for t in 0..4 {
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t),
-                    vec![Some(1.0), Some(2.0)],
-                ))
-                .unwrap();
-        }
-        sm.advance(&window).unwrap();
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_ok());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(0)], 2, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 3, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, true)
-            .is_err());
-        // Out-of-range seeds are ignored.
-        sm.seed(0, 1.0, 1);
-        sm.seed(capacity, 1.0, 1);
-        assert_eq!(sm.maintained_lags(), 0);
     }
 
     #[test]

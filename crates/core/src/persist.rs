@@ -3,13 +3,13 @@
 //!
 //! A [`crate::engine::TkcmEngine`] snapshot is the *complete* engine state:
 //! configuration, the streaming window (value rings, provenance rings,
-//! timestamp ring), the reference catalog, the accumulated phase breakdown
-//! and every live incremental dissimilarity maintainer with its bit-exact
-//! running sums.  Loading it back and replaying the logged ticks since the
-//! snapshot ([`WalEntry`], applied through
-//! [`crate::engine::TkcmEngine::apply_wal_entry`]) reproduces an engine that
-//! is bit-identical to one that never crashed — the recovery-equivalence
-//! property the runtime's tests pin down.
+//! timestamp ring), the reference catalog, the accumulated phase breakdown,
+//! every live incremental dissimilarity maintainer with its bit-exact
+//! running sums, and every live warm start of the composed path.  Loading
+//! it back and replaying the logged ticks since the snapshot ([`WalEntry`],
+//! applied through [`crate::engine::TkcmEngine::apply_wal_entry`])
+//! reproduces an engine that is bit-identical to one that never crashed —
+//! the recovery-equivalence property the runtime's tests pin down.
 //!
 //! Engines running a *custom* dissimilarity measure cannot be snapshotted:
 //! the decoder reconstructs the imputer from the configuration alone, which
@@ -24,9 +24,9 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp}
 use crate::config::{AnchorAggregation, TkcmConfig};
 use crate::diagnostics::PhaseBreakdown;
 use crate::dissimilarity::{Dissimilarity, L2Distance};
-use crate::engine::{Maintainer, Shortlist, TkcmEngine};
+use crate::engine::{Maintainer, TkcmEngine, WarmStart};
 use crate::imputer::{PruneStats, TkcmImputer};
-use crate::incremental::{IncrementalDissimilarity, ShortlistEntry, ShortlistMaintainer};
+use crate::incremental::IncrementalDissimilarity;
 use crate::selection::SelectionStrategy;
 use crate::signature::{BlockSummary, SignatureIndex, SIGNATURE_BLOCK_LEN};
 
@@ -275,122 +275,35 @@ impl Snapshot for IncrementalDissimilarity {
     }
 }
 
-impl Snapshot for ShortlistMaintainer {
+impl Snapshot for WarmStart {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         self.references.write_into(enc)?;
-        enc.usize(self.pattern_length);
-        enc.usize(self.window_length);
-        enc.bool(self.allow_missing);
-        // BTreeMap iteration is ascending by lag, so the encoding (and the
-        // snapshot fingerprint) is deterministic.
-        enc.usize(self.entries.len());
-        for (&lag, entry) in &self.entries {
+        enc.usize(self.lags.len());
+        for &lag in &self.lags {
             enc.u32(lag);
-            enc.f64(entry.sum_sq);
-            enc.f64(entry.err);
-            enc.u32(entry.observed);
-            enc.u64(entry.last_hit);
         }
-        self.prev_oldest.write_into(enc)?;
-        match self.last_time {
-            Some(t) => {
-                enc.bool(true);
-                t.write_into(enc)?;
-            }
-            None => enc.bool(false),
-        }
-        enc.u64(self.ticks);
+        enc.usize(self.last_used);
         Ok(())
     }
 
+    /// Decodes the geometry-free part; the engine decoder checks the lags
+    /// against the configured `l`, `L` and `k`.
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
         let references: Vec<SeriesId> = Vec::read_from(dec)?;
-        let pattern_length = dec.usize()?;
-        let window_length = dec.usize()?;
-        let allow_missing = dec.bool()?;
-        // Same overflow-safe dimension check as the dense maintainer:
-        // decoded sizes are untrusted.
-        if references.is_empty() || pattern_length == 0 || window_length / 2 < pattern_length {
+        if references.is_empty() {
             return Err(StoreError::invalid(
-                "shortlist maintainer snapshot dimensions are inconsistent",
+                "warm start snapshot has no reference series",
             ));
         }
-        let entry_count = dec.seq_len()?;
-        let mut entries = std::collections::BTreeMap::new();
-        let lag_min = u64::try_from(pattern_length)
-            .map_err(|_| StoreError::invalid("shortlist pattern length overflows u64"))?;
-        let lag_max = u64::try_from(window_length - pattern_length)
-            .map_err(|_| StoreError::invalid("shortlist window length overflows u64"))?;
-        let total_pairs = u64::try_from(references.len().saturating_mul(pattern_length))
-            .map_err(|_| StoreError::invalid("shortlist pair count overflows u64"))?;
-        for _ in 0..entry_count {
-            let lag = dec.u32()?;
-            let sum_sq = dec.f64()?;
-            let err = dec.f64()?;
-            let observed = dec.u32()?;
-            let last_hit = dec.u64()?;
-            if u64::from(lag) < lag_min || u64::from(lag) > lag_max {
-                return Err(StoreError::invalid(format!(
-                    "shortlist entry lag {lag} is outside the candidate range"
-                )));
-            }
-            // A NaN sum or a negative/NaN radius would corrupt every bound
-            // derived from the entry; refuse rather than carry it.
-            if sum_sq.is_nan() || err.is_nan() || err < 0.0 {
-                return Err(StoreError::invalid(
-                    "shortlist entry carries a NaN sum or invalid error radius",
-                ));
-            }
-            if u64::from(observed) > total_pairs {
-                return Err(StoreError::invalid(format!(
-                    "shortlist entry observed count {observed} exceeds the pair total"
-                )));
-            }
-            if entries
-                .insert(
-                    lag,
-                    ShortlistEntry {
-                        sum_sq,
-                        err,
-                        observed,
-                        last_hit,
-                    },
-                )
-                .is_some()
-            {
-                return Err(StoreError::invalid(format!(
-                    "duplicate shortlist entry for lag {lag}"
-                )));
-            }
+        let lag_count = dec.seq_len()?;
+        let mut lags = Vec::with_capacity(lag_count);
+        for _ in 0..lag_count {
+            lags.push(dec.u32()?);
         }
-        let prev_oldest: Vec<Option<f64>> = Vec::read_from(dec)?;
-        let last_time = if dec.bool()? {
-            Some(Timestamp::read_from(dec)?)
-        } else {
-            None
-        };
-        let ticks = dec.u64()?;
-        if prev_oldest.len() != references.len() {
-            return Err(StoreError::invalid(
-                "shortlist maintainer snapshot dimensions are inconsistent",
-            ));
-        }
-        for entry in entries.values() {
-            if entry.last_hit > ticks {
-                return Err(StoreError::invalid(
-                    "shortlist entry last-hit tick is ahead of the maintainer clock",
-                ));
-            }
-        }
-        Ok(ShortlistMaintainer {
+        Ok(WarmStart {
             references,
-            pattern_length,
-            window_length,
-            allow_missing,
-            entries,
-            prev_oldest,
-            last_time,
-            ticks,
+            lags,
+            last_used: dec.usize()?,
         })
     }
 }
@@ -548,11 +461,7 @@ impl Snapshot for TkcmEngine {
             }
             None => enc.bool(false),
         }
-        enc.usize(self.shortlists.len());
-        for s in &self.shortlists {
-            s.state.write_into(enc)?;
-            enc.usize(s.last_used);
-        }
+        self.warm_starts.write_into(enc)?;
         self.prune_totals.write_into(enc)?;
         Ok(())
     }
@@ -599,19 +508,32 @@ impl Snapshot for TkcmEngine {
         } else {
             None
         };
-        let shortlist_count = dec.seq_len()?;
-        let mut shortlists = Vec::with_capacity(shortlist_count);
-        for _ in 0..shortlist_count {
-            let state = ShortlistMaintainer::read_from(dec)?;
-            let last_used = dec.usize()?;
-            if state.window_length() != config.window_length
-                || state.pattern_length() != config.pattern_length
+        let warm_starts: Vec<WarmStart> = Vec::read_from(dec)?;
+        // The config's validation guarantees `L ≥ (k+1)·l ≥ 2l`, so the
+        // candidate lag range below cannot underflow.
+        let lag_range = config.pattern_length..=config.window_length - config.pattern_length;
+        for warm in &warm_starts {
+            if warm.lags.len() > config.anchor_count {
+                return Err(StoreError::invalid(format!(
+                    "warm start carries {} lags but k = {}",
+                    warm.lags.len(),
+                    config.anchor_count
+                )));
+            }
+            if let Some(lag) = warm
+                .lags
+                .iter()
+                .find(|&&lag| !usize::try_from(lag).is_ok_and(|lag| lag_range.contains(&lag)))
             {
+                return Err(StoreError::invalid(format!(
+                    "warm start lag {lag} is outside the candidate range"
+                )));
+            }
+            if warm.last_used > tick_count {
                 return Err(StoreError::invalid(
-                    "shortlist maintainer geometry does not match the engine configuration",
+                    "warm start last-used tick is ahead of the engine",
                 ));
             }
-            shortlists.push(Shortlist { state, last_used });
         }
         let prune_totals = PruneStats::read_from(dec)?;
         let imputer = TkcmImputer::new(config).map_err(|e| StoreError::invalid(e.to_string()))?;
@@ -626,11 +548,10 @@ impl Snapshot for TkcmEngine {
                 "signature index presence does not match the engine configuration",
             ));
         }
-        // Shortlist maintainers only exist on the composed path.
-        let composes = expects_index && imputer.config().incremental;
-        if !shortlists.is_empty() && !composes {
+        // Warm starts only exist on the composed path.
+        if !warm_starts.is_empty() && !expects_index {
             return Err(StoreError::invalid(
-                "shortlist maintainers present but the configuration does not compose",
+                "warm starts present but the configuration does not compose",
             ));
         }
         let level1_run_len = crate::signature::level1_run_len(imputer.config().pattern_length);
@@ -643,7 +564,7 @@ impl Snapshot for TkcmEngine {
             tick_count,
             maintainers,
             signatures,
-            shortlists,
+            warm_starts,
             level1_run_len,
             prune_totals,
         })
@@ -803,61 +724,45 @@ mod tests {
     }
 
     #[test]
-    fn shortlist_maintainer_round_trips_and_rejects_corruption() {
+    fn warm_start_round_trips_and_rejects_corruption() {
         // The default configuration composes, so a driven engine carries
-        // live shortlist maintainers with seeded entries.
+        // live warm starts holding the last imputation's anchor lags.
         let engine = run_engine(120);
         assert!(engine.is_composed());
-        assert!(engine.shortlist_count() > 0);
-        let state = &engine.shortlists[0].state;
-        assert!(state.maintained_lags() > 0, "entries should have seeded");
-        let restored = round_trip(state);
-        // No PartialEq on the maintainer; the Debug form covers every field
-        // including the per-entry bits.
-        assert_eq!(format!("{restored:?}"), format!("{state:?}"));
+        let warm = engine.warm_starts.clone();
+        assert!(!warm.is_empty() && !warm[0].lags.is_empty(), "{warm:?}");
+        let restored: TkcmEngine = round_trip(&engine);
+        assert_eq!(restored.warm_starts, warm);
 
-        // An entry lag outside the candidate range is refused.
-        let mut enc = Encoder::new();
-        vec![SeriesId(1)].write_into(&mut enc).unwrap();
-        enc.usize(3); // l
-        enc.usize(64); // L
-        enc.bool(false);
-        enc.usize(1);
-        enc.u32(1); // lag < l
-        enc.f64(0.0);
-        enc.f64(0.0);
-        enc.u32(0);
-        enc.u64(0);
-        let prev: Vec<Option<f64>> = vec![None];
-        prev.write_into(&mut enc).unwrap();
-        enc.bool(false);
-        enc.u64(0);
-        assert!(decode_from_slice::<ShortlistMaintainer>(&enc.into_bytes()).is_err());
-
-        // A negative error radius is refused (it would inflate the bound).
-        let mut enc = Encoder::new();
-        vec![SeriesId(1)].write_into(&mut enc).unwrap();
-        enc.usize(3);
-        enc.usize(64);
-        enc.bool(false);
-        enc.usize(1);
-        enc.u32(5);
-        enc.f64(1.0);
-        enc.f64(-1.0);
-        enc.u32(3);
-        enc.u64(0);
-        let prev: Vec<Option<f64>> = vec![None];
-        prev.write_into(&mut enc).unwrap();
-        enc.bool(false);
-        enc.u64(0);
-        assert!(decode_from_slice::<ShortlistMaintainer>(&enc.into_bytes()).is_err());
+        // Each corruption is refused with a typed error, never a panic
+        // (`small_config`: l = 3, L = 64, k = 2).
+        let refused = |what: &str, corrupt: &dyn Fn(&mut WarmStart)| {
+            let mut engine = run_engine(120);
+            corrupt(&mut engine.warm_starts[0]);
+            let bytes = encode_to_vec(&engine).unwrap();
+            match decode_from_slice::<TkcmEngine>(&bytes) {
+                Err(StoreError::Invalid { .. }) => {}
+                Err(other) => panic!("{what}: expected a typed invalid-state error, got {other:?}"),
+                Ok(_) => panic!("{what}: corrupted warm start was accepted"),
+            }
+        };
+        refused("lag below l", &|w| w.lags[0] = 2);
+        refused("lag above L - l", &|w| w.lags[0] = 62);
+        refused("lag far past L", &|w| w.lags[0] = u32::MAX);
+        refused("more than k lags", &|w| w.lags = vec![10, 20, 30]);
+        refused("empty references", &|w| w.references.clear());
+        // Boundary lags l and L − l are valid candidates.
+        let mut engine = run_engine(120);
+        engine.warm_starts[0].lags = vec![3, 61];
+        let restored: TkcmEngine = round_trip(&engine);
+        assert_eq!(restored.warm_starts[0].lags, vec![3, 61]);
     }
 
     #[test]
     fn prune_totals_survive_snapshot_recovery() {
-        // The running prune diagnostics are part of the snapshot (format
-        // v5): a recovered engine continues the totals instead of silently
-        // resetting them to zero.
+        // The running prune diagnostics are part of the snapshot (since
+        // format v5): a recovered engine continues the totals instead of
+        // silently resetting them to zero.
         let engine = run_engine(120);
         let totals = engine.prune_totals();
         assert!(

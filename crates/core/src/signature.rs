@@ -7,9 +7,9 @@
 //! window — a piecewise min/max envelope plus a missing-slot count per block
 //! of [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
 //! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity.
-//! The imputer ([`crate::imputer::TkcmImputer::impute_pruned`]) then
-//! evaluates exact dissimilarities only for a shortlist and proves the rest
-//! out of the k-NN set.
+//! The imputer ([`crate::imputer::TkcmImputer::impute_composed`]) then
+//! evaluates exact dissimilarities only for the candidates the bounds cannot
+//! rule out and proves the rest out of the k-NN set.
 //!
 //! # The lower bound, and why it is admissible
 //!

@@ -1,15 +1,17 @@
 //! Equivalence and admissibility properties of the signature-index pruned
-//! candidate path (PR 7).
+//! (composed) candidate path.
 //!
 //! Three families:
 //!
-//! 1. **Bit-identity** — an engine on the pruned path must produce *bitwise*
-//!    the same imputations as an engine on the exhaustive exact path, across
-//!    random periods, gap placements, pattern lengths and window capacities,
-//!    with ring wrap-around and imputed write-backs in the mix.  (The PR-2
-//!    incremental path is only tolerance-equivalent to exact, so the pruned
-//!    path is compared against the *exhaustive* recompute, which it matches
-//!    bit for bit — see `signature.rs` for the float-level argument.)
+//! 1. **Bit-identity** — an engine on the composed path must produce
+//!    *bitwise* the same imputations as an engine on the exhaustive exact
+//!    path, across random periods, gap placements, pattern lengths and
+//!    window capacities, with ring wrap-around and imputed write-backs in the
+//!    mix — and so must a direct composed imputation seeded from arbitrary
+//!    stale warm-start lags.  (The dense incremental path is only
+//!    tolerance-equivalent to exact, so the composed path is compared
+//!    against the *exhaustive* recompute, which it matches bit for bit — see
+//!    `signature.rs` for the float-level argument.)
 //! 2. **Admissibility** — the signature lower bound never exceeds the exact
 //!    dissimilarity of any candidate, so a pruned candidate (LB > τ) can
 //!    never belong to the k-NN anchor set.
@@ -21,7 +23,7 @@ use proptest::prelude::*;
 
 use tkcm_core::{
     extract_pattern, extract_query_pattern, level1_run_len, Dissimilarity, L2Distance,
-    ShortlistMaintainer, SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
+    SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
 };
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
 
@@ -78,15 +80,15 @@ proptest! {
                 .unwrap();
             TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
         };
-        // (pruning, incremental): (true, true) is the *composed* path —
-        // level-1 prefilter + shortlist maintainers + level-0 bounds —
-        // (true, false) the PR-7 pruned-only path.  Both must match the
-        // exhaustive engine bit for bit.
+        // (pruning, incremental): pruning always runs the *composed* path
+        // — warm-start seeding + level-1 prefilter + level-0 bounds — so
+        // both flag pairs with pruning on must match the exhaustive engine
+        // bit for bit.
         let mut composed = mk(true, true);
         let mut pruned = mk(true, false);
         let mut exhaustive = mk(false, false);
         prop_assert!(composed.is_pruned() && composed.is_composed());
-        prop_assert!(pruned.is_pruned() && !pruned.is_composed());
+        prop_assert!(pruned.is_pruned() && pruned.is_composed());
         prop_assert!(!exhaustive.is_pruned());
 
         let saw = |t: usize, shift: u64| ((t as u64 + shift) % period) as f64;
@@ -142,6 +144,93 @@ proptest! {
             composed.prune_totals().candidates,
             pruned.prune_totals().candidates
         );
+    }
+
+    /// Stale warm starts cost pruning, never bits.  A direct composed
+    /// imputation seeded from arbitrary lags — past the filled range, below
+    /// `l`, overlapping, duplicated, or anchored where the target slot has
+    /// since been overwritten by an imputed value — matches the exhaustive
+    /// imputation bit for bit, on windows that are still filling or have
+    /// wrapped.  On return the warm start holds exactly the selected
+    /// anchors' lags, and re-seeding from them changes nothing.
+    #[test]
+    fn stale_warm_lags_keep_the_composed_path_bit_identical(
+        period in 8u64..64,
+        shift in 0u64..31,
+        capacity in 48usize..128,
+        ticks_per_capacity in 0.6f64..2.5,
+        l in 2usize..8,
+        k in 1usize..4,
+        imputed_ages in proptest::collection::vec(1usize..128, 0..6),
+        stale_lags in proptest::collection::vec(0u32..320, 0..6),
+    ) {
+        let width = 3;
+        let window_length = capacity.max((k + 1) * l);
+        let total = ((window_length as f64 * ticks_per_capacity) as usize).max(2 * l + 1);
+        let mut window = StreamingWindow::new(width, window_length);
+        let mut index = SignatureIndex::new(width, window_length).unwrap();
+        let saw = |t: usize, s: u64| ((t as u64 + s) % period) as f64;
+        for t in 0..total {
+            let target = if t + 1 == total || t % 9 == 4 { None } else { Some(saw(t, 0)) };
+            let r1 = if t % 13 == 5 { None } else { Some(saw(t, shift)) };
+            let values = vec![target, r1, Some(saw(t, 7))];
+            window
+                .push_tick(&StreamTick::new(Timestamp::new(t as i64), values.clone()))
+                .expect("tick accepted");
+            index.on_push(&values).expect("push accepted");
+        }
+        // Overwrite target slots with imputed values, observed ones
+        // included: a lag that anchored there is now provenance-stale.
+        let filled = window.filled();
+        let mut stale = stale_lags.clone();
+        for &age in &imputed_ages {
+            let age = age % filled;
+            let old = window.value_recent(SeriesId(0), age).expect("valid age");
+            window.write_imputed(SeriesId(0), age, -1.5).expect("write accepted");
+            index.on_write(SeriesId(0), age, -1.5, old.is_none());
+            stale.push(age as u32);
+        }
+        prop_assert!(index.is_synced(&window));
+
+        let refs = vec![SeriesId(1), SeriesId(2)];
+        for allow_missing in [false, true] {
+            let config = TkcmConfig::builder()
+                .window_length(window_length)
+                .pattern_length(l)
+                .anchor_count(k)
+                .reference_count(2)
+                .allow_missing_in_patterns(allow_missing)
+                .build()
+                .unwrap();
+            let imputer = TkcmImputer::new(config).unwrap();
+            let exact = imputer.impute(&window, SeriesId(0), &refs).unwrap();
+            let run_len = level1_run_len(l);
+            let mut warm = stale.clone();
+            for pass in ["stale", "re-seeded"] {
+                let offered = warm.len();
+                let (composed, stats) = imputer
+                    .impute_composed(&window, SeriesId(0), &refs, &index, &mut warm, run_len)
+                    .unwrap();
+                prop_assert!(
+                    composed.value.to_bits() == exact.value.to_bits(),
+                    "{} pass: composed {} vs exhaustive {}",
+                    pass,
+                    composed.value,
+                    exact.value
+                );
+                prop_assert_eq!(&composed.anchors, &exact.anchors);
+                prop_assert_eq!(composed.complete, exact.complete);
+                prop_assert_eq!(composed.fallback, exact.fallback);
+                prop_assert_eq!(stats.maintained_lags, offered);
+                let mut anchor_times: Vec<Timestamp> = warm
+                    .iter()
+                    .map(|&lag| window.time_of_age(lag as usize).expect("anchor inside the window"))
+                    .collect();
+                anchor_times.sort();
+                let exact_times: Vec<Timestamp> = exact.anchors.iter().map(|a| a.time).collect();
+                prop_assert_eq!(anchor_times, exact_times);
+            }
+        }
     }
 
     /// Admissibility of the bound itself: for every candidate lag the
@@ -361,7 +450,7 @@ proptest! {
 /// which the true nearest candidate (an off-by-one copy of the query, D = 4)
 /// has a *non-zero* lower bound, while a decoy candidate (alternating values
 /// whose envelope straddles the query, D = 360) has a lower bound of exactly
-/// zero.  With admissible bounds the pruned path finds the copy; inflating
+/// zero.  With admissible bounds the composed path finds the copy; inflating
 /// the bounds prunes it and the decoy wins — a detectably different answer.
 fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     let width = 2;
@@ -414,78 +503,30 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     (window, index, imputer)
 }
 
-/// With the true bound (factor 1) the pruned path matches the exhaustive
-/// path bit for bit; with a deliberately inflated — hence inadmissible —
-/// bound the true nearest candidate is pruned away and the imputed value
-/// visibly changes.  This is the negative control of the equivalence suite:
-/// if over-pruning ever happens, these comparisons are what catches it.
-#[test]
-fn inflated_bounds_are_caught_by_the_equivalence_check() {
-    let (window, index, imputer) = inadmissible_fixture();
-    let target = SeriesId(0);
-    let refs = vec![SeriesId(1)];
-
-    let exact = imputer.impute(&window, target, &refs).unwrap();
-    let (pruned, _) = imputer
-        .impute_pruned(&window, target, &refs, &index)
-        .unwrap();
-    assert_eq!(
-        pruned.value.to_bits(),
-        exact.value.to_bits(),
-        "admissible bounds must reproduce the exhaustive answer bitwise"
-    );
-    assert_eq!(pruned.anchors, exact.anchors);
-
-    let (inflated, stats) = imputer
-        .impute_pruned_with_inflation(&window, target, &refs, &index, 1e6)
-        .unwrap();
-    assert!(
-        stats.pruned > 0,
-        "the inflated bound must actually prune candidates: {stats:?}"
-    );
-    assert_ne!(
-        inflated.anchors, exact.anchors,
-        "an inadmissible bound prunes the true nearest candidate, so the \
-         equivalence check must observe a different anchor set"
-    );
-    assert_ne!(
-        inflated.value.to_bits(),
-        exact.value.to_bits(),
-        "…and a different imputed value"
-    );
-}
-
-/// The composed path's negative control, at both bound levels.  On the same
-/// fixture: (1) with admissible bounds the composed path — cold shortlist
-/// *and* warm shortlist — reproduces the exhaustive answer bitwise; (2) an
-/// inflated level-1 *run* bound prunes the whole run holding the true
+/// The composed path's negative control, at both bound levels.  On the
+/// inadmissibility fixture: (1) with admissible bounds the composed path —
+/// cold *and* warm-started — reproduces the exhaustive answer bitwise; (2)
+/// an inflated level-1 *run* bound prunes the whole run holding the true
 /// nearest candidate, which the equivalence comparison catches; (3) so does
 /// an inflated level-0 bound.  This proves over-pruning at either level of
-/// the composed cascade is observable, not silently absorbed.
+/// the composed cascade is observable, not silently absorbed.  The
+/// negative controls start cold, so seeding runs the level-0 sweep.
 #[test]
 fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
     let (window, index, imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
-    let l = imputer.config().pattern_length;
-    let run_len = level1_run_len(l);
-    let mk_shortlist = || {
-        let mut s =
-            ShortlistMaintainer::new(refs.clone(), l, imputer.config().window_length, false)
-                .unwrap();
-        s.advance(&window).unwrap();
-        s
-    };
+    let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
 
-    // Positive control, cold then warm: the first composed call seeds the
-    // shortlist from its own exact evaluations; the second call runs the
-    // maintained-first seeding path.  Both must match exhaustive bitwise.
-    let mut shortlist = mk_shortlist();
+    // Positive control, cold then warm: the first composed call leaves its
+    // anchor lags in the warm start; the second call seeds from them.  Both
+    // must match exhaustive bitwise.
+    let mut warm = Vec::new();
     for pass in ["cold", "warm"] {
         let (composed, _) = imputer
-            .impute_composed(&window, target, &refs, &index, &mut shortlist, run_len)
+            .impute_composed(&window, target, &refs, &index, &mut warm, run_len)
             .unwrap();
         assert_eq!(
             composed.value.to_bits(),
@@ -494,18 +535,17 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
         );
         assert_eq!(composed.anchors, exact.anchors, "{pass} pass anchors");
     }
-    assert!(shortlist.maintained_lags() > 0, "evaluations seed entries");
+    assert_eq!(warm.len(), 1, "the warm start holds the k = 1 anchor lag");
 
     // Negative control at level 1: inflating only the *run* bound prunes
     // the run containing the true nearest candidate wholesale.
-    let mut shortlist = mk_shortlist();
     let (inflated, stats) = imputer
         .impute_composed_with_inflation(
             &window,
             target,
             &refs,
             &index,
-            &mut shortlist,
+            &mut Vec::new(),
             run_len,
             1.0,
             1e6,
@@ -524,14 +564,13 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
 
     // Negative control at level 0: same fixture, inflation on the per-lag
     // bound instead.
-    let mut shortlist = mk_shortlist();
     let (inflated0, stats0) = imputer
         .impute_composed_with_inflation(
             &window,
             target,
             &refs,
             &index,
-            &mut shortlist,
+            &mut Vec::new(),
             run_len,
             1e6,
             1.0,

@@ -1,35 +1,33 @@
-//! Candidate pruning: the signature-index shortlist path (PR 7) and the
-//! composed pruning-plus-maintenance path against the exhaustive and
-//! incremental candidate sweeps, on one engine.
+//! Candidate pruning: the composed signature-pruned path against the
+//! exhaustive and incremental candidate sweeps, on one engine.
 //!
-//! The same SBR-like workload is replayed through four engines that differ
+//! The same SBR-like workload is replayed through three engines that differ
 //! only in the candidate path:
 //!
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
-//!   each imputation (`O(L·l·d)`), the PR-1 baseline;
+//!   each imputation (`O(L·l·d)`), the baseline;
 //! * **incremental** — the Section 6.2 maintained dissimilarity array
-//!   (`O(L)` sweep), the PR-2 path;
-//! * **pruned** — the quantized signature index shortlists candidates by an
-//!   admissible lower bound and only the shortlist is scored exactly;
-//! * **composed** — the default path: maintained shortlist entries seed the
-//!   threshold and certify cheap prunes, a level-1 run prefilter skips whole
-//!   blocks of candidates, and the signature bounds catch the rest.
+//!   (`O(L)` sweep);
+//! * **composed** — the default path: the previous imputation's anchor lags
+//!   seed the pruning threshold, a level-1 run prefilter skips whole blocks
+//!   of candidates, and per-lag signature bounds catch the rest, so only the
+//!   survivors are scored exactly.
 //!
-//! Pruning is *admissible*, so the pruned and composed runs must impute
+//! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
 //! on every tick, which keeps the speedup columns honest: a faster number
 //! can never come from silently different answers.  The incremental run is
 //! only tolerance-equivalent to exact (its own property suite covers that),
 //! so here only its imputation count is asserted.
 //!
-//! The headline trend fields are the composed-vs-exhaustive speedup, the
-//! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
-//! wholesale by the level-1 prefilter (`level1_skipped_fraction`) and the
-//! average fraction of candidates carrying a maintained shortlist entry
-//! (`maintained_lag_fraction`); at paper proportions (l = 72 against a
-//! window over months of 5-minute data) the signature blocks are much
-//! shorter than the pattern, which is the regime where the envelope bounds
-//! separate candidates well.
+//! Each mode is replayed [`repetitions`] times, interleaved (one replay of
+//! every mode per round), and the table reports the median wall time.  The
+//! headline trend fields are the composed-vs-exhaustive speedup, the
+//! fraction of candidates pruned (`pruned_fraction`) and the fraction
+//! skipped wholesale by the level-1 prefilter (`level1_skipped_fraction`);
+//! at paper proportions (l = 72 against a window over months of 5-minute
+//! data) the signature blocks are much shorter than the pattern, which is
+//! the regime where the envelope bounds separate candidates well.
 
 use std::time::Instant;
 
@@ -41,8 +39,18 @@ use crate::report::{Report, Table};
 
 use super::{dataset_for, Scale};
 
-/// The four candidate paths, in presentation (and baseline) order.
-pub const MODES: [&str; 4] = ["exhaustive", "incremental", "pruned", "composed"];
+/// The three candidate paths, in presentation (and baseline) order.
+pub const MODES: [&str; 3] = ["exhaustive", "incremental", "composed"];
+
+/// Interleaved replays per mode.  The quick workload is small enough that
+/// host noise moves a single replay by tens of percent, so it reports the
+/// median of five; the paper-scale replay is long enough to report once.
+pub fn repetitions(scale: Scale) -> usize {
+    match scale {
+        Scale::Quick => 5,
+        Scale::Paper => 1,
+    }
+}
 
 /// Length of each injected outage in ticks (the SBR generator produces
 /// complete data; the sweep punctures it with rotating outages like the
@@ -98,8 +106,8 @@ fn pruning_config(scale: Scale, len: usize, mode: &str) -> TkcmConfig {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(scale.default_reference_count())
-        .incremental(mode == "incremental" || mode == "composed")
-        .pruning(mode == "pruned" || mode == "composed")
+        .incremental(mode == "incremental")
+        .pruning(mode == "composed")
         .build()
         .expect("pruning sweep configuration is valid")
 }
@@ -109,7 +117,7 @@ fn pruning_config(scale: Scale, len: usize, mode: &str) -> TkcmConfig {
 pub struct PruningRun {
     /// Candidate path (one of [`MODES`]).
     pub mode: &'static str,
-    /// Wall-clock seconds for the full replay.
+    /// Median wall-clock seconds for the full replay.
     pub wall_seconds: f64,
     /// Ticks per second.
     pub ticks_per_second: f64,
@@ -125,9 +133,6 @@ pub struct PruningRun {
     /// Fraction of candidates skipped wholesale by the level-1 run
     /// prefilter (composed mode only; 0 elsewhere).
     pub level1_skipped_fraction: f64,
-    /// Average fraction of candidates carrying a live maintained shortlist
-    /// entry when an imputation began (composed mode only; 0 elsewhere).
-    pub maintained_lag_fraction: f64,
 }
 
 /// Replays the default workload through all three modes.
@@ -143,73 +148,87 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
     let catalog = Catalog::ring_neighbours(width);
     let ticks = punctured_ticks(dataset, scale);
 
-    let mut runs: Vec<PruningRun> = Vec::with_capacity(MODES.len());
     // (series, time, value bits) of every imputation of the exhaustive run,
-    // the reference the pruned run is compared against bit for bit.
+    // the reference the composed run is compared against bit for bit.
     let mut reference: Option<Vec<(u32, i64, u64)>> = None;
-    let mut walls: Vec<f64> = Vec::new();
-    for mode in MODES {
-        let config = pruning_config(scale, len, mode);
-        let mut engine = TkcmEngine::new(width, config, catalog.clone())
-            .expect("pruning sweep engine construction");
-        assert_eq!(engine.is_pruned(), mode == "pruned" || mode == "composed");
-        assert_eq!(engine.is_composed(), mode == "composed");
-        let mut imputed: Vec<(u32, i64, u64)> = Vec::new();
-        let start = Instant::now();
-        for tick in &ticks {
-            let outcome = engine.process_tick(tick).expect("pruning sweep tick");
-            for imputation in &outcome.imputations {
-                imputed.push((
-                    imputation.series.0,
-                    imputation.time.0,
-                    imputation.value.to_bits(),
-                ));
+    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); MODES.len()];
+    let mut totals = Vec::with_capacity(MODES.len());
+    let mut imputations = 0;
+    for round in 0..repetitions(scale) {
+        for (m, mode) in MODES.into_iter().enumerate() {
+            let config = pruning_config(scale, len, mode);
+            let mut engine = TkcmEngine::new(width, config, catalog.clone())
+                .expect("pruning sweep engine construction");
+            assert_eq!(engine.is_composed(), mode == "composed");
+            let mut imputed: Vec<(u32, i64, u64)> = Vec::new();
+            let start = Instant::now();
+            for tick in &ticks {
+                let outcome = engine.process_tick(tick).expect("pruning sweep tick");
+                for imputation in &outcome.imputations {
+                    imputed.push((
+                        imputation.series.0,
+                        imputation.time.0,
+                        imputation.value.to_bits(),
+                    ));
+                }
+            }
+            walls[m].push(start.elapsed().as_secs_f64());
+
+            let baseline = reference.get_or_insert_with(|| imputed.clone());
+            assert_eq!(
+                baseline.len(),
+                imputed.len(),
+                "{mode} mode changed the imputation count"
+            );
+            if mode == "composed" {
+                // Admissibility in action: the pruned path must reproduce
+                // the exhaustive answers exactly, down to the value bits.
+                assert_eq!(
+                    *baseline, imputed,
+                    "{mode} mode diverged from the exhaustive reference"
+                );
+            }
+            // Counters are deterministic, so one round's totals stand for all.
+            if round == 0 {
+                totals.push(engine.prune_totals());
+                imputations = imputed.len();
             }
         }
-        let wall = start.elapsed().as_secs_f64();
+    }
 
-        let baseline = reference.get_or_insert_with(|| imputed.clone());
-        assert_eq!(
-            baseline.len(),
-            imputed.len(),
-            "{mode} mode changed the imputation count"
-        );
-        if mode == "pruned" || mode == "composed" {
-            // Admissibility in action: the shortlist path must reproduce the
-            // exhaustive answers exactly, down to the value bits.
-            assert_eq!(
-                *baseline, imputed,
-                "{mode} mode diverged from the exhaustive reference"
-            );
+    let medians: Vec<f64> = walls.iter_mut().map(|w| median(w)).collect();
+    let fraction = |count: usize, candidates: usize| {
+        if candidates > 0 {
+            count as f64 / candidates as f64
+        } else {
+            0.0
         }
-
-        let totals = engine.prune_totals();
-        walls.push(wall);
-        runs.push(PruningRun {
+    };
+    MODES
+        .into_iter()
+        .zip(medians.iter().zip(&totals))
+        .map(|(mode, (&wall, totals))| PruningRun {
             mode,
             wall_seconds: wall,
             ticks_per_second: ticks.len() as f64 / wall,
-            imputations: imputed.len(),
-            speedup_vs_exhaustive: walls[0] / wall,
-            speedup_vs_incremental: walls.get(1).copied().unwrap_or(wall) / wall,
-            pruned_fraction: if totals.candidates > 0 {
-                totals.pruned as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
-            level1_skipped_fraction: if totals.candidates > 0 {
-                totals.level1_skipped as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
-            maintained_lag_fraction: if totals.candidates > 0 {
-                totals.maintained_lags as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
-        });
+            imputations,
+            speedup_vs_exhaustive: medians[0] / wall,
+            speedup_vs_incremental: medians[1] / wall,
+            pruned_fraction: fraction(totals.pruned, totals.candidates),
+            level1_skipped_fraction: fraction(totals.level1_skipped, totals.candidates),
+        })
+        .collect()
+}
+
+/// Median of a non-empty sample (the mean of the middle pair when even).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
     }
-    runs
 }
 
 /// Runs the candidate-pruning experiment and renders the report.
@@ -221,15 +240,17 @@ pub fn run(scale: Scale) -> Report {
 
 /// Renders the measured runs as the experiment report.
 fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
-    let mut report = Report::new("Candidate pruning: signature shortlist vs exhaustive sweep");
+    let mut report = Report::new("Candidate pruning: composed path vs exhaustive sweep");
     report.note(format!(
         "{} series x {} ticks (SBR-like), l = {}, k = {}, d = {}; identical imputations \
-         asserted across modes (pruned and composed vs exhaustive: bit-identical).",
+         asserted across modes (composed vs exhaustive: bit-identical); wall times are \
+         the median of {} interleaved replay(s) per mode.",
         dataset.width(),
         dataset.len(),
         pruning_pattern_length(scale),
         scale.default_anchor_count(),
         scale.default_reference_count(),
+        repetitions(scale),
     ));
     let mut table = Table::new(
         "Candidate pruning by mode",
@@ -242,7 +263,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
             "speedup_vs_incremental".to_string(),
             "pruned_fraction".to_string(),
             "level1_skipped_fraction".to_string(),
-            "maintained_lag_fraction".to_string(),
         ],
     );
     for run in runs {
@@ -256,7 +276,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
                 run.speedup_vs_incremental,
                 run.pruned_fraction,
                 run.level1_skipped_fraction,
-                run.maintained_lag_fraction,
             ],
         );
     }
@@ -269,8 +288,8 @@ mod tests {
     use super::*;
     use tkcm_datasets::SbrConfig;
 
-    /// Small-but-real workload so the test replays all three paths in well
-    /// under a second; the quick-scale proportions run in CI through the
+    /// Small-but-real workload so the test replays every path in well under
+    /// a second; the quick-scale proportions run in CI through the
     /// `candidate_pruning` binary.
     fn mini_dataset() -> Dataset {
         SbrConfig {
@@ -299,24 +318,12 @@ mod tests {
         for baseline in &runs[..2] {
             assert_eq!(baseline.pruned_fraction, 0.0);
             assert_eq!(baseline.level1_skipped_fraction, 0.0);
-            assert_eq!(baseline.maintained_lag_fraction, 0.0);
         }
-        let pruned = &runs[2];
-        assert_eq!(pruned.mode, "pruned");
-        assert!(
-            pruned.pruned_fraction > 0.0 && pruned.pruned_fraction <= 1.0,
-            "signature index pruned nothing: {pruned:?}"
-        );
-        assert_eq!(pruned.maintained_lag_fraction, 0.0);
-        let composed = &runs[3];
+        let composed = &runs[2];
         assert_eq!(composed.mode, "composed");
         assert!(
             composed.pruned_fraction > 0.0 && composed.pruned_fraction <= 1.0,
             "composed path pruned nothing: {composed:?}"
-        );
-        assert!(
-            composed.maintained_lag_fraction > 0.0,
-            "composed path kept no maintained shortlist entries: {composed:?}"
         );
         assert!(composed.level1_skipped_fraction >= 0.0);
     }
@@ -328,12 +335,17 @@ mod tests {
         let report = report_from(&dataset, Scale::Quick, &runs);
         let table = report.table("Candidate pruning by mode").unwrap();
         assert_eq!(table.rows.len(), MODES.len());
-        assert_eq!(table.headers.len(), 9);
-        assert!(table.cell("pruned", "pruned_fraction").unwrap() > 0.0);
+        assert_eq!(table.headers.len(), 8);
         assert!(table.cell("composed", "pruned_fraction").unwrap() > 0.0);
-        assert!(table.cell("composed", "maintained_lag_fraction").unwrap() > 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);
         assert!(report.notes.iter().any(|n| n.contains("bit-identical")));
+    }
+
+    #[test]
+    fn median_takes_the_middle_of_a_sorted_sample() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert!(repetitions(Scale::Quick) >= 5);
     }
 
     #[test]

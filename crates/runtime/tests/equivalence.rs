@@ -283,12 +283,12 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// The bounded candidate paths must be bit-identical to the exhaustive
-/// exact path through the *sharded* runtime too: same fleet, same stream,
-/// 1/2/4 shards, three fleets — the *composed* path (pruning + shortlist
-/// maintenance, the default), the PR-7 pruned-only path, and the exhaustive
-/// reference.  Integer sawtooths keep the arithmetic bit-reproducible and
-/// the envelopes informative.
+/// The pruned candidate path must be bit-identical to the exhaustive exact
+/// path through the *sharded* runtime too: same fleet, same stream, 1/2/4
+/// shards, three fleets — both flag pairs with pruning on, which run the
+/// *composed* path (the default), and the exhaustive reference.  Integer
+/// sawtooths keep the arithmetic bit-reproducible and the envelopes
+/// informative.
 #[test]
 fn pruned_fleet_is_bit_identical_to_exhaustive_fleet_across_shard_counts() {
     let width = 6;
