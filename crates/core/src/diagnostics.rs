@@ -38,6 +38,33 @@ pub(crate) fn record_phase_nanos(phase: Phase, elapsed: Duration) {
     PHASE_NANOS[index].add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
 }
 
+/// Sub-phases of one composed (signature-pruned) candidate sweep — all part
+/// of [`Phase::Extraction`] in the breakdown.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SweepPhase {
+    /// Certifying a feasible k-solution: the warm-start walk and, when it
+    /// falls short, the cold level-0 seeding sweep.
+    Seed,
+    /// Pass 1: level-1 run prefilter plus per-lag level-0 bounds.
+    Bound,
+    /// The survivor sort plus the exact folds of pass 2 (or of the
+    /// exhaustive fallback sweep).
+    Exact,
+}
+
+/// Per-imputation sub-phase durations of the composed sweep, in
+/// [`SweepPhase`] declaration order (record-only).
+static SWEEP_NANOS: LazyLock<[tkcm_obs::Histogram; 3]> = LazyLock::new(|| {
+    ["seed", "bound", "exact"].map(|phase| {
+        tkcm_obs::registry().histogram("tkcm_core_sweep_phase_nanos", &[("phase", phase)])
+    })
+});
+
+/// Records one composed-sweep sub-phase duration (record-only).
+pub(crate) fn record_sweep_phase(phase: SweepPhase, elapsed: Duration) {
+    SWEEP_NANOS[phase as usize].record_duration(elapsed);
+}
+
 /// Accumulated wall-clock time per TKCM phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {

@@ -15,11 +15,13 @@
 //! Besides the imputed value, the imputer reports the anchors, their
 //! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
 
+use std::time::Instant;
+
 use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
 use crate::config::{AnchorAggregation, TkcmConfig};
 use crate::consistency::ConsistencyReport;
-use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
+use crate::diagnostics::{record_sweep_phase, Phase, PhaseBreakdown, PhaseTimer, SweepPhase};
 use crate::dissimilarity::{l2_from_components, Dissimilarity, L2Distance};
 use crate::incremental::IncrementalDissimilarity;
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
@@ -273,13 +275,14 @@ impl TkcmImputer {
             dissimilarities = vec![f64::INFINITY; candidate_ages.len()];
             match maintained {
                 Some(state) => {
+                    // Same anchor-eligibility rule as the exact path below:
+                    // anchors need an *observed* target value.
+                    let observed =
+                        observed_targets(window, target, oldest_age, candidate_ages.len())?;
                     for (idx, &age) in candidate_ages.iter().enumerate() {
-                        // Same anchor-eligibility rule as the exact path
-                        // below: anchors need an *observed* target value.
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
-                            continue;
+                        if observed[idx] {
+                            dissimilarities[idx] = state.dissimilarity_at_lag(age);
                         }
-                        dissimilarities[idx] = state.dissimilarity_at_lag(age);
                     }
                 }
                 None => {
@@ -290,17 +293,19 @@ impl TkcmImputer {
                         self.config.allow_missing_in_patterns,
                     )?;
                     if let Some(ref q) = query {
+                        // The target value at the anchor must be *observed* to
+                        // contribute to the average of Definition 4. Previously
+                        // imputed values stay usable inside reference patterns
+                        // (Example 1), but feeding them back as anchor values
+                        // would let the imputer average its own guesses — during
+                        // long outages the most similar patterns are the ones
+                        // immediately behind the query, so the error compounds
+                        // tick after tick. Checked before pattern extraction so
+                        // disqualified candidates don't pay the O(d·l) copy.
+                        let observed =
+                            observed_targets(window, target, oldest_age, candidate_ages.len())?;
                         for (idx, &age) in candidate_ages.iter().enumerate() {
-                            // The target value at the anchor must be *observed* to
-                            // contribute to the average of Definition 4. Previously
-                            // imputed values stay usable inside reference patterns
-                            // (Example 1), but feeding them back as anchor values
-                            // would let the imputer average its own guesses — during
-                            // long outages the most similar patterns are the ones
-                            // immediately behind the query, so the error compounds
-                            // tick after tick. Checked before pattern extraction so
-                            // disqualified candidates don't pay the O(d·l) copy.
-                            if window.slot_recent(target, age)?.state != SlotState::Observed {
+                            if !observed[idx] {
                                 continue;
                             }
                             let candidate = extract_pattern_at_age(
@@ -416,7 +421,9 @@ impl TkcmImputer {
     /// [`l2_from_components`] — which makes the result bit-equal, not just
     /// approximately equal.  (The composed path only runs for measures with
     /// `supports_incremental()`, whose documented contract is exactly
-    /// "decomposes into `l2_components`".)
+    /// "decomposes into `l2_components`".)  Each reference's `l` values are
+    /// read as one chronological ring run (at most two contiguous slices),
+    /// so the fold does no per-value index arithmetic.
     fn exact_candidate(
         &self,
         window: &StreamingWindow,
@@ -429,17 +436,20 @@ impl TkcmImputer {
         let mut sum_sq = 0.0f64;
         let mut observed = 0usize;
         for (ri, &r) in references.iter().enumerate() {
-            // Column 0 is the oldest tick — same walk as
-            // `extract_pattern_at_age`.
-            for (col, &q_slot) in query.row(ri).iter().enumerate() {
-                let x = window.value_recent(r, age + (l - 1 - col))?;
-                if x.is_none() && !allow_missing {
-                    // Strict extraction would return `None` ⇒ `D = +∞`.
-                    return Ok(f64::INFINITY);
-                }
-                if let (Some(x), Some(y)) = (x, q_slot) {
-                    sum_sq += (x - y) * (x - y);
-                    observed += 1;
+            // Oldest tick first, pairing with query column 0 — the same walk
+            // as `extract_pattern_at_age`.
+            let (head, tail) = window.buffer(r)?.chronological_run(age + (l - 1), l)?;
+            let (q_head, q_tail) = query.row(ri).split_at(head.len());
+            for (xs, qs) in [(head, q_head), (tail, q_tail)] {
+                for (&x, &q_slot) in xs.iter().zip(qs) {
+                    if x.is_none() && !allow_missing {
+                        // Strict extraction would return `None` ⇒ `D = +∞`.
+                        return Ok(f64::INFINITY);
+                    }
+                    if let (Some(x), Some(y)) = (x, q_slot) {
+                        sum_sq += (x - y) * (x - y);
+                        observed += 1;
+                    }
                 }
             }
         }
@@ -591,9 +601,13 @@ impl TkcmImputer {
                 self.config.allow_missing_in_patterns,
             )?;
             if let Some(ref q) = query {
+                let seed_clock = Instant::now();
                 let rows: Vec<&[Option<f64>]> = (0..references.len()).map(|ri| q.row(ri)).collect();
                 let sig_query = SignatureQuery::new(&rows);
                 let strict = !self.config.allow_missing_in_patterns;
+                // One provenance read for the whole sweep: `observed[idx]`
+                // says whether candidate idx's anchor has an observed target.
+                let observed = observed_targets(window, target, oldest_age, j)?;
                 // `resolved[idx]`: D[idx] is final — exact-evaluated, pruned
                 // (stays +∞) or provenance-disqualified; the sweeps below
                 // skip it.
@@ -620,7 +634,7 @@ impl TkcmImputer {
                     if seed.iter().any(|&p| idx.abs_diff(p) < l) {
                         continue;
                     }
-                    if window.slot_recent(target, lag)?.state != SlotState::Observed {
+                    if !observed[idx] {
                         continue;
                     }
                     if !resolved[idx] {
@@ -651,7 +665,7 @@ impl TkcmImputer {
                             }
                             continue;
                         }
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
+                        if !observed[idx] {
                             open[idx] = false;
                             continue;
                         }
@@ -727,6 +741,7 @@ impl TkcmImputer {
                         }
                     }
                 }
+                record_sweep_phase(SweepPhase::Seed, seed_clock.elapsed());
                 if seed.len() >= k {
                     // τ is the *float* value the DP assigns to the seed
                     // subset: the DP accumulates "take" steps innermost-
@@ -758,6 +773,7 @@ impl TkcmImputer {
                     // `bound > threshold` proves the candidate outside every
                     // optimal selection; survivors keep their bound for
                     // pass 2 instead of being exact-evaluated on the spot.
+                    let bound_clock = Instant::now();
                     let mut survivors: Vec<(usize, f64)> = Vec::new();
                     let mut s = 0usize;
                     while s < j {
@@ -791,11 +807,11 @@ impl TkcmImputer {
                             if resolved[idx] {
                                 continue;
                             }
-                            let age = candidate_ages[idx];
-                            if window.slot_recent(target, age)?.state != SlotState::Observed {
+                            if !observed[idx] {
                                 resolved[idx] = true;
                                 continue;
                             }
+                            let age = candidate_ages[idx];
                             let (lb_sq, certain_missing) =
                                 index.lower_bound_sq_with_query(references, age, l, &sig_query);
                             if certain_missing && strict {
@@ -813,6 +829,7 @@ impl TkcmImputer {
                         }
                         s = e;
                     }
+                    record_sweep_phase(SweepPhase::Bound, bound_clock.elapsed());
 
                     // ---- Pass 2: ascending-bound sweep under a tightening
                     // per-candidate threshold ----
@@ -844,6 +861,7 @@ impl TkcmImputer {
                     // dwarfs its relative rounding, and the final subtraction
                     // adds at most one ulp of τ — absorbed by the same
                     // margins.
+                    let exact_clock = Instant::now();
                     survivors.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                     // Evaluated-value pool: every exact D computed so far
                     // (seeds plus seeding-walk evaluations that missed the
@@ -895,21 +913,21 @@ impl TkcmImputer {
                             }
                         }
                     }
+                    record_sweep_phase(SweepPhase::Exact, exact_clock.elapsed());
                 } else {
                     // No feasible k-solution certified: exhaustive sweep
                     // (rare — degenerate windows).
+                    let exact_clock = Instant::now();
                     for idx in 0..j {
-                        if resolved[idx] {
+                        if resolved[idx] || !observed[idx] {
                             continue;
                         }
-                        let age = candidate_ages[idx];
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
-                            continue;
-                        }
-                        dissimilarities[idx] = self.exact_candidate(window, references, q, age)?;
+                        dissimilarities[idx] =
+                            self.exact_candidate(window, references, q, candidate_ages[idx])?;
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                     }
+                    record_sweep_phase(SweepPhase::Exact, exact_clock.elapsed());
                 }
             }
         }
@@ -975,6 +993,24 @@ impl TkcmImputer {
         }
         Ok(0.0)
     }
+}
+
+/// Whether the target's value is *observed* at each candidate anchor,
+/// oldest candidate first: entry `idx` belongs to the anchor `idx` ticks
+/// newer than `oldest_age`.  One provenance-run read replaces a
+/// [`StreamingWindow::slot_recent`] call per candidate.
+fn observed_targets(
+    window: &StreamingWindow,
+    target: SeriesId,
+    oldest_age: usize,
+    count: usize,
+) -> Result<Vec<bool>, TsError> {
+    let (head, tail) = window.state_run(target, oldest_age, count)?;
+    Ok(head
+        .iter()
+        .chain(tail)
+        .map(|&state| state == SlotState::Observed)
+        .collect())
 }
 
 #[cfg(test)]

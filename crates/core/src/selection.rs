@@ -21,6 +21,39 @@
 //! and the greedy heuristic (for ablation), plus an "overlapping top-k"
 //! variant that demonstrates the near-duplicate problem motivating the
 //! non-overlap constraint.
+//!
+//! # Evaluating only the finite columns
+//!
+//! The composed (signature-pruned) imputation path leaves most of `D` at
+//! `+∞`, so [`select_anchors_dp`] evaluates the recurrence over the *active*
+//! columns only — those whose `D[j]` is neither `+∞` nor NaN — and performs
+//! the same float operations as the dense table on every cell it stores:
+//!
+//! * **A `+∞`/NaN column is a pure copy.**  Its take term `D[j] + M[…]` is
+//!   `+∞` or NaN, and `f64::min` returns the other operand for both, so
+//!   `M[i][j] = M[i][j−1]` bit for bit — including the `i > j` cells, which
+//!   are `∞` on both sides.  A row therefore changes value only at active
+//!   columns, and `M[i][j]` equals the row's value at the last active column
+//!   `≤ j` (or the row's initial value, `0` for `i = 0` and `∞` otherwise,
+//!   when there is none).
+//! * **The same operands reach every active cell.**  The skip operand
+//!   `M[i][j−1]` is the row's value at the previous active column, and the
+//!   take operand `M[i−1][max(j−l, 0)]` is row `i−1`'s value at the last
+//!   active column `≤ j − l`.  That column only moves right as `j` does, so
+//!   a monotone two-pointer sweep finds it for every active column in
+//!   `O(m)` total (a binary search per column costs more than the dense
+//!   table when every column is finite).  Each cell is then computed as
+//!   `skip.min(D[j] + M[i−1][pred])`, the dense expression verbatim, and the
+//!   `i > j ⇒ ∞` rule is kept on the true column index.
+//! * **The backtrack makes the same decisions.**  The dense walk compares
+//!   `M[i][j]` with `M[i][j−1]` and steps left while they are equal, which
+//!   they always are on copy columns; at an active column it compares the
+//!   same two stored values the sparse walk compares.  A take jumps to
+//!   `j − l`, from where the dense walk steps down to the same
+//!   predecessor column.
+//!
+//! With `m` active columns the cost is `O(k·m)` instead of `O(k·J)`; with
+//! every column finite the two are the same work.
 
 /// Which algorithm is used to pick the anchors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -70,6 +103,12 @@ impl AnchorSelection {
 ///
 /// If fewer than `k` non-overlapping finite candidates exist, the selection
 /// contains as many as possible and `complete` is `false`.
+///
+/// The recurrence is evaluated over the *active* columns only — those whose
+/// `D` is neither `+∞` nor NaN — which performs exactly the float operations
+/// the full `(k+1) × (J+1)` table would on the cells that can differ from
+/// their left neighbour (see the module docs), so the selection, its tie
+/// order and the bits of `total_dissimilarity` are those of Algorithm 1.
 pub fn select_anchors_dp(
     dissimilarities: &[f64],
     pattern_length: usize,
@@ -85,34 +124,55 @@ pub fn select_anchors_dp(
     // J candidates and spacing l the maximum is ceil(J / l).
     let feasible_k = k.min(j_max.div_ceil(pattern_length));
 
-    // M has (k+1) x (J+1) entries; row 0 is all zeros. Column 0 represents
-    // "no candidates considered yet".
-    let cols = j_max + 1;
-    let mut m = vec![vec![0.0_f64; cols]; feasible_k + 1];
-    for (i, row) in m.iter_mut().enumerate().skip(1) {
-        for (j, cell) in row.iter_mut().enumerate() {
-            if i > j {
-                *cell = f64::INFINITY;
-            }
+    // Active columns, 1-based like the paper's `j`.  Every other column is a
+    // pure copy of its left neighbour: `D + M ∈ {+∞, NaN}` there, and
+    // `f64::min` returns the other operand for both.
+    let cols: Vec<usize> = (1..=j_max)
+        .filter(|&j| {
+            let d = dissimilarities[j - 1];
+            !(d.is_nan() || d == f64::INFINITY)
+        })
+        .collect();
+    let m = cols.len();
+    // `pred[a]`: how many active columns lie at or before `cols[a] − l` —
+    // the table slot holding `M[i−1][max(cols[a] − l, 0)]`.  Both sides grow
+    // with `a`, so one monotone pointer finds them all.
+    let mut pred = Vec::with_capacity(m);
+    let mut p = 0usize;
+    for &c in &cols {
+        while p < m && cols[p] + pattern_length <= c {
+            p += 1;
         }
+        pred.push(p);
     }
+
+    // Row `i` holds `m + 1` slots: slot 0 stands for every column before the
+    // first active one (`M[0][·] = 0`, `M[i ≥ 1][·] = ∞` there) and slot
+    // `a + 1` is `M[i][cols[a]]`, which every copy column after it repeats.
+    let w = m + 1;
+    let mut table = vec![0.0_f64; (feasible_k + 1) * w];
     for i in 1..=feasible_k {
-        for j in 1..=j_max {
-            if i > j {
-                continue;
-            }
-            let skip = m[i][j - 1];
-            let pred = j.saturating_sub(pattern_length);
-            let take = dissimilarities[j - 1] + m[i - 1][pred];
-            m[i][j] = skip.min(take);
+        let (done, rest) = table.split_at_mut(i * w);
+        let prev = &done[(i - 1) * w..];
+        let row = &mut rest[..w];
+        let mut skip = f64::INFINITY;
+        row[0] = skip;
+        for (a, &c) in cols.iter().enumerate() {
+            let cell = if i > c {
+                f64::INFINITY
+            } else {
+                skip.min(dissimilarities[c - 1] + prev[pred[a]])
+            };
+            row[a + 1] = cell;
+            skip = cell;
         }
     }
 
     // Find the largest i ≤ feasible_k with a finite optimum (infinite D values
-    // can make even feasible_k unattainable).
+    // can make even feasible_k unattainable).  `M[i][J]` is the last slot.
     let mut best_i = 0;
     for i in (1..=feasible_k).rev() {
-        if m[i][j_max].is_finite() {
+        if table[i * w + m].is_finite() {
             best_i = i;
             break;
         }
@@ -121,23 +181,25 @@ pub fn select_anchors_dp(
         return AnchorSelection::empty();
     }
 
-    // Backtrack (lines 15–23 of Algorithm 1).
+    // Backtrack (lines 15–23 of Algorithm 1).  The dense walk steps over
+    // every copy column (`M[i][j] == M[i][j−1]` there), so walking the
+    // active slots makes the same take/skip decisions.
     let mut indices = Vec::with_capacity(best_i);
     let mut i = best_i;
-    let mut j = j_max;
-    while i > 0 && j > 0 {
-        if m[i][j] == m[i][j - 1] {
-            j -= 1;
+    let mut a = m;
+    while i > 0 && a > 0 {
+        if table[i * w + a] == table[i * w + a - 1] {
+            a -= 1;
         } else {
-            indices.push(j - 1);
+            indices.push(cols[a - 1] - 1);
             i -= 1;
-            j = j.saturating_sub(pattern_length);
+            a = pred[a - 1];
         }
     }
     indices.reverse();
 
     AnchorSelection {
-        total_dissimilarity: m[best_i][j_max],
+        total_dissimilarity: table[best_i * w + m],
         complete: best_i == k,
         indices,
     }
@@ -221,6 +283,148 @@ pub fn select_anchors(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dense `(k+1) × (J+1)` Algorithm 1, verbatim: the reference the
+    /// sparse evaluation must match bit for bit.
+    fn select_anchors_dp_dense(
+        dissimilarities: &[f64],
+        pattern_length: usize,
+        k: usize,
+    ) -> AnchorSelection {
+        assert!(pattern_length > 0, "pattern length must be positive");
+        let j_max = dissimilarities.len();
+        if k == 0 || j_max == 0 {
+            return AnchorSelection::empty();
+        }
+        let feasible_k = k.min(j_max.div_ceil(pattern_length));
+        let cols = j_max + 1;
+        let mut m = vec![vec![0.0_f64; cols]; feasible_k + 1];
+        for (i, row) in m.iter_mut().enumerate().skip(1) {
+            for (j, cell) in row.iter_mut().enumerate() {
+                if i > j {
+                    *cell = f64::INFINITY;
+                }
+            }
+        }
+        for i in 1..=feasible_k {
+            for j in 1..=j_max {
+                if i > j {
+                    continue;
+                }
+                let skip = m[i][j - 1];
+                let pred = j.saturating_sub(pattern_length);
+                let take = dissimilarities[j - 1] + m[i - 1][pred];
+                m[i][j] = skip.min(take);
+            }
+        }
+        let mut best_i = 0;
+        for i in (1..=feasible_k).rev() {
+            if m[i][j_max].is_finite() {
+                best_i = i;
+                break;
+            }
+        }
+        if best_i == 0 {
+            return AnchorSelection::empty();
+        }
+        let mut indices = Vec::with_capacity(best_i);
+        let mut i = best_i;
+        let mut j = j_max;
+        while i > 0 && j > 0 {
+            if m[i][j] == m[i][j - 1] {
+                j -= 1;
+            } else {
+                indices.push(j - 1);
+                i -= 1;
+                j = j.saturating_sub(pattern_length);
+            }
+        }
+        indices.reverse();
+        AnchorSelection {
+            total_dissimilarity: m[best_i][j_max],
+            complete: best_i == k,
+            indices,
+        }
+    }
+
+    /// SplitMix64: a tiny deterministic generator for the property loops.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn assert_same(d: &[f64], l: usize, k: usize) {
+        let sparse = select_anchors_dp(d, l, k);
+        let dense = select_anchors_dp_dense(d, l, k);
+        assert_eq!(
+            sparse.indices, dense.indices,
+            "indices, l={l} k={k} D={d:?}"
+        );
+        assert_eq!(
+            sparse.total_dissimilarity.to_bits(),
+            dense.total_dissimilarity.to_bits(),
+            "total, l={l} k={k} D={d:?}"
+        );
+        assert_eq!(sparse.complete, dense.complete, "complete, l={l} k={k}");
+    }
+
+    #[test]
+    fn sparse_dp_matches_the_dense_table_bit_for_bit() {
+        let mut rng = Mix(0x5EED_0013);
+        for case in 0..20_000u32 {
+            let len = rng.below(48) as usize;
+            let l = 1 + rng.below(9) as usize;
+            // Includes k > ceil(J / l) and J < l.
+            let k = 1 + rng.below(7) as usize;
+            // Per-case mix: mostly-∞ (the pruned regime), mostly finite (the
+            // exhaustive regime), and a handful of coarse values for ties.
+            let inf_share = rng.below(101);
+            let coarse = case % 3 == 0;
+            let d: Vec<f64> = (0..len)
+                .map(|_| {
+                    let roll = rng.below(100);
+                    if roll < inf_share {
+                        f64::INFINITY
+                    } else if roll == 99 {
+                        f64::NAN
+                    } else if coarse {
+                        rng.below(4) as f64 * 0.5
+                    } else {
+                        rng.below(1 << 20) as f64 / 1024.0 + 0.1
+                    }
+                })
+                .collect();
+            assert_same(&d, l, k);
+        }
+    }
+
+    #[test]
+    fn sparse_dp_matches_the_dense_table_on_edge_shapes() {
+        let inf = f64::INFINITY;
+        for (d, l, k) in [
+            (vec![inf; 9], 2, 3),
+            (vec![f64::NAN; 5], 1, 2),
+            (vec![0.3, inf, 0.3, inf, 0.3], 2, 5),
+            (vec![0.7, 0.2], 5, 1),
+            (vec![0.7, 0.2], 5, 3),
+            (vec![inf, inf, 1.0], 4, 2),
+            (vec![1.0; 12], 3, 4),
+            (vec![0.0, f64::NAN, 0.0, inf, 0.0, 0.0], 2, 3),
+        ] {
+            assert_same(&d, l, k);
+        }
+    }
 
     #[test]
     fn figure_8_worked_example() {

@@ -128,18 +128,55 @@ fn envelope_gap(a: &BlockSummary, b: &BlockSummary) -> f64 {
     g.max(0.0)
 }
 
-/// Precomputed query-side context for [`SignatureIndex::lower_bound_sq_with_query`].
+/// Precomputed query-side context for [`SignatureIndex::lower_bound_sq_with_query`]
+/// and [`SignatureIndex::run_lower_bound_sq_with_query`].
 ///
 /// The query pattern is fixed for the whole candidate sweep of one
 /// imputation, so its per-sub-range statistics are precomputed once —
 /// prefix sums and missing counts for O(1) segment means, and sparse
 /// min/max tables for O(1) exact segment envelopes — and reused across all
-/// `J` candidates.  Construction is `O(d · l · log l)`, negligible next to
-/// the sweep itself.
+/// `J` candidates.
+///
+/// The level-0 bound goes one step further.  A candidate's block-aligned
+/// segments depend only on its start ordinal's residue
+/// `r = cand_start mod SIGNATURE_BLOCK_LEN`, so the query side of every
+/// segment — its block offset, length, full-block flag, missing count,
+/// mean, min and max — is planned once per residue class and reference
+/// (`SIGNATURE_BLOCK_LEN × d` lists of about `l / B + 1` segments).  A
+/// per-lag bound then reads its residue's plan instead of repeating the
+/// prefix-sum and sparse-table lookups.  Construction is
+/// `O(d · l · log l + B · d)`, negligible next to the sweep itself.
 #[derive(Clone, Debug)]
 pub struct SignatureQuery {
     length: usize,
     refs: Vec<QueryRef>,
+    /// Level-0 segments, grouped by `residue · d + reference`.
+    segments: Vec<QuerySegment>,
+    /// `plan_start[g] .. plan_start[g + 1]` is group `g`'s slice of
+    /// `segments`.
+    plan_start: Vec<usize>,
+}
+
+/// Query side of one level-0 segment: the pattern positions `[p_s, p_e]`
+/// that fall inside one signature block of the candidate range, for one
+/// residue class and one reference.
+#[derive(Clone, Copy, Debug)]
+struct QuerySegment {
+    /// Offset of the segment's block from the candidate's first block.
+    block: usize,
+    /// Number of positions in the segment.
+    len: u64,
+    /// Whether the segment covers its whole block (`len == B`).
+    full: bool,
+    /// Missing query slots at the segment's positions.
+    q_missing: u64,
+    /// `(Σ observed query values) / B` over the segment — the query side of
+    /// the block-mean bound, which only full segments use.
+    q_mean: f64,
+    /// Exact min over the segment's observed query values (`+∞` if none).
+    q_min: f64,
+    /// Exact max over the segment's observed query values (`−∞` if none).
+    q_max: f64,
 }
 
 /// Range tables of one reference row of the query pattern.
@@ -219,10 +256,51 @@ impl SignatureQuery {
             rows.iter().all(|r| r.len() == length),
             "SignatureQuery: ragged query rows"
         );
+        let refs: Vec<QueryRef> = rows.iter().map(|r| QueryRef::new(r)).collect();
+        let block_len = SIGNATURE_BLOCK_LEN as usize;
+        let n = SIGNATURE_BLOCK_LEN as f64;
+        let mut segments = Vec::new();
+        let mut plan_start = Vec::with_capacity(block_len * refs.len() + 1);
+        for residue in 0..block_len {
+            for qref in &refs {
+                plan_start.push(segments.len());
+                // The first segment runs to the end of the candidate's first
+                // block; each later one covers one whole block, the last one
+                // truncated at the pattern's end.
+                let mut p_s = 0usize;
+                let mut block = 0usize;
+                while p_s < length {
+                    let p_e = ((block + 1) * block_len - 1 - residue).min(length - 1);
+                    let len = (p_e - p_s + 1) as u64;
+                    let (q_min, q_max) = qref.range_min_max(p_s, p_e);
+                    segments.push(QuerySegment {
+                        block,
+                        len,
+                        full: len == block_len as u64,
+                        q_missing: (qref.prefix_missing[p_e + 1] - qref.prefix_missing[p_s]) as u64,
+                        q_mean: (qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s]) / n,
+                        q_min,
+                        q_max,
+                    });
+                    p_s = p_e + 1;
+                    block += 1;
+                }
+            }
+        }
+        plan_start.push(segments.len());
         SignatureQuery {
             length,
-            refs: rows.iter().map(|r| QueryRef::new(r)).collect(),
+            refs,
+            segments,
+            plan_start,
         }
+    }
+
+    /// The level-0 plan of reference `ri` for candidates whose start
+    /// ordinal has residue `residue` modulo [`SIGNATURE_BLOCK_LEN`].
+    fn plan(&self, residue: usize, ri: usize) -> &[QuerySegment] {
+        let g = residue * self.refs.len() + ri;
+        &self.segments[self.plan_start[g]..self.plan_start[g + 1]]
     }
 
     /// The pattern length the context was built for.
@@ -387,8 +465,8 @@ impl SignatureIndex {
     ///
     /// 1. **Exact query segment statistics** — per candidate segment the
     ///    paired query sub-range's min/max and missing count come from the
-    ///    pattern itself ([`SignatureQuery`] precomputes range tables), so
-    ///    the envelope gap loses the query-side quantization slack.
+    ///    pattern itself ([`SignatureQuery`] plans them per residue class),
+    ///    so the envelope gap loses the query-side quantization slack.
     /// 2. **Block-mean (Jensen) bound** — when a segment covers a whole
     ///    block with no missing slot on either side, all
     ///    `B = SIGNATURE_BLOCK_LEN` pairs are observed and
@@ -434,60 +512,46 @@ impl SignatureIndex {
         }
         let block_len = SIGNATURE_BLOCK_LEN as u64;
         let deflate = 1.0 - 1e-9;
+        let residue = (cand_start & (block_len - 1)) as usize;
+        let first_block = ((cand_start - self.base_ordinal) / block_len) as usize;
 
         let mut sum = 0.0_f64;
         let mut certain_missing = false;
-        for (r, qref) in references.iter().zip(query.refs.iter()) {
+        for (ri, r) in references.iter().enumerate() {
             let Some(series) = self.blocks.get(r.index()) else {
                 continue;
             };
-            let mut seg_start = cand_start;
-            while seg_start <= cand_newest {
-                let block_base = seg_start & !(block_len - 1);
-                let seg_end = (block_base + block_len - 1).min(cand_newest);
-                let bi = ((block_base - self.base_ordinal) / block_len) as usize;
-                let Some(cand_block) = series.get(bi) else {
-                    seg_start = seg_end + 1;
+            for seg in query.plan(residue, ri) {
+                let Some(cand_block) = series.get(first_block + seg.block) else {
                     continue;
                 };
-                let full_block = seg_start == block_base && seg_end == block_base + block_len - 1;
-                if cand_block.missing > 0 && full_block {
+                if cand_block.missing > 0 && seg.full {
                     certain_missing = true;
                 }
-                // Pattern positions paired with this segment (0 = oldest).
-                let p_s = (seg_start - cand_start) as usize;
-                let p_e = (seg_end - cand_start) as usize;
-                let q_missing = (qref.prefix_missing[p_e + 1] - qref.prefix_missing[p_s]) as u64;
-                let seg_len = seg_end - seg_start + 1;
-                let uncertain = u64::from(cand_block.missing) + q_missing;
-                if seg_len > uncertain {
-                    let clean_block = full_block
+                let uncertain = u64::from(cand_block.missing) + seg.q_missing;
+                if seg.len > uncertain {
+                    let clean_block = seg.full
                         && cand_block.missing == 0
-                        && q_missing == 0
+                        && seg.q_missing == 0
                         && !cand_block.sum.is_nan();
                     if clean_block {
                         // All B pairs observed and the sum unpoisoned: the
                         // mean bound alone — on smooth signals it dominates
-                        // the envelope gap (which needs *disjoint* ranges),
-                        // and skipping the range-table lookups here keeps
-                        // the sweep's constant small.
+                        // the envelope gap (which needs *disjoint* ranges).
                         let n = block_len as f64;
                         let cand_mean = cand_block.sum / n;
-                        let q_mean = (qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s]) / n;
-                        let diff = cand_mean - q_mean;
+                        let diff = cand_mean - seg.q_mean;
                         sum += diff * diff * n * deflate;
                     } else {
-                        let n_certain = (seg_len - uncertain) as f64;
-                        let (q_min, q_max) = qref.range_min_max(p_s, p_e);
-                        let g = (q_min - cand_block.max)
-                            .max(cand_block.min - q_max)
+                        let n_certain = (seg.len - uncertain) as f64;
+                        let g = (seg.q_min - cand_block.max)
+                            .max(cand_block.min - seg.q_max)
                             .max(0.0);
                         if g > 0.0 && g.is_finite() {
                             sum += g * g * n_certain;
                         }
                     }
                 }
-                seg_start = seg_end + 1;
             }
         }
         (sum, certain_missing)
@@ -716,6 +780,102 @@ impl SignatureIndex {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl SignatureIndex {
+    /// The per-lag segment walk [`SignatureIndex::lower_bound_sq_with_query`]
+    /// replaced: it recomputes every segment's query side from the prefix
+    /// sums and sparse tables.  The reference the planned bound must match
+    /// bit for bit.
+    pub(crate) fn lower_bound_sq_with_query_walk(
+        &self,
+        references: &[SeriesId],
+        lag: usize,
+        l: usize,
+        query: &SignatureQuery,
+    ) -> (f64, bool) {
+        if self.ticks_seen == 0
+            || l == 0
+            || query.length != l
+            || query.refs.len() != references.len()
+        {
+            return (0.0, false);
+        }
+        let Some(query_newest) = self.ordinal_of_age(0) else {
+            return (0.0, false);
+        };
+        let Some(cand_newest) = self.ordinal_of_age(lag) else {
+            return (0.0, false);
+        };
+        let span = (l - 1) as u64;
+        if cand_newest < span || query_newest < span {
+            return (0.0, false);
+        }
+        let cand_start = cand_newest - span;
+        if cand_start < self.base_ordinal {
+            return (0.0, false);
+        }
+        let block_len = SIGNATURE_BLOCK_LEN as u64;
+        let deflate = 1.0 - 1e-9;
+
+        let mut sum = 0.0_f64;
+        let mut certain_missing = false;
+        for (r, qref) in references.iter().zip(query.refs.iter()) {
+            let Some(series) = self.blocks.get(r.index()) else {
+                continue;
+            };
+            let mut seg_start = cand_start;
+            while seg_start <= cand_newest {
+                let block_base = seg_start & !(block_len - 1);
+                let seg_end = (block_base + block_len - 1).min(cand_newest);
+                let bi = ((block_base - self.base_ordinal) / block_len) as usize;
+                let Some(cand_block) = series.get(bi) else {
+                    seg_start = seg_end + 1;
+                    continue;
+                };
+                let full_block = seg_start == block_base && seg_end == block_base + block_len - 1;
+                if cand_block.missing > 0 && full_block {
+                    certain_missing = true;
+                }
+                // Pattern positions paired with this segment (0 = oldest).
+                let p_s = (seg_start - cand_start) as usize;
+                let p_e = (seg_end - cand_start) as usize;
+                let q_missing = (qref.prefix_missing[p_e + 1] - qref.prefix_missing[p_s]) as u64;
+                let seg_len = seg_end - seg_start + 1;
+                let uncertain = u64::from(cand_block.missing) + q_missing;
+                if seg_len > uncertain {
+                    let clean_block = full_block
+                        && cand_block.missing == 0
+                        && q_missing == 0
+                        && !cand_block.sum.is_nan();
+                    if clean_block {
+                        // All B pairs observed and the sum unpoisoned: the
+                        // mean bound alone — on smooth signals it dominates
+                        // the envelope gap (which needs *disjoint* ranges),
+                        // and skipping the range-table lookups here keeps
+                        // the sweep's constant small.
+                        let n = block_len as f64;
+                        let cand_mean = cand_block.sum / n;
+                        let q_mean = (qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s]) / n;
+                        let diff = cand_mean - q_mean;
+                        sum += diff * diff * n * deflate;
+                    } else {
+                        let n_certain = (seg_len - uncertain) as f64;
+                        let (q_min, q_max) = qref.range_min_max(p_s, p_e);
+                        let g = (q_min - cand_block.max)
+                            .max(cand_block.min - q_max)
+                            .max(0.0);
+                        if g > 0.0 && g.is_finite() {
+                            sum += g * g * n_certain;
+                        }
+                    }
+                }
+                seg_start = seg_end + 1;
+            }
+        }
+        (sum, certain_missing)
     }
 }
 
@@ -951,6 +1111,104 @@ mod tests {
             ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 4, 0, 4, &query),
             0.0
         );
+    }
+
+    /// Query row of `r` over the newest `l` ticks, oldest first — the
+    /// layout of `Pattern::row`.
+    fn query_row(w: &StreamingWindow, r: SeriesId, l: usize) -> Vec<Option<f64>> {
+        (0..l)
+            .map(|col| w.value_recent(r, l - 1 - col).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn planned_level0_bound_matches_the_segment_walk_bit_for_bit() {
+        // Gappy data, write-backs into missing slots (exact sums) and into
+        // observed ones (poisoned sums), a ring that wraps several times,
+        // pattern lengths around and across the block size, and every lag of
+        // the window — so every residue class is exercised.
+        let width = 4;
+        let cap = 140;
+        let mut w = StreamingWindow::new(width, cap);
+        let mut ix = SignatureIndex::new(width, cap).unwrap();
+        let mut state = 0x0013_5EEDu64;
+        let mut roll = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let ref_sets = [
+            vec![SeriesId(1), SeriesId(2), SeriesId(3)],
+            vec![SeriesId(0), SeriesId(2)],
+            // A reference the index does not cover is skipped, not a panic.
+            vec![SeriesId(3), SeriesId(9)],
+        ];
+        let mut residues = [false; SIGNATURE_BLOCK_LEN as usize];
+        let mut poisoned = 0usize;
+        let mut compared = 0usize;
+        for t in 0..(3 * cap as i64 + 17) {
+            let values: Vec<Option<f64>> = (0..width)
+                .map(|s| {
+                    if roll(9) == 0 {
+                        None
+                    } else {
+                        Some((t as f64 * 0.11 + s as f64).sin() * 4.0 + roll(5) as f64 * 0.25)
+                    }
+                })
+                .collect();
+            push(&mut w, &mut ix, t, values);
+            if roll(4) == 0 {
+                let series = SeriesId(roll(width as u64) as u32);
+                let age = roll(w.filled() as u64) as usize;
+                let was_missing = w.value_recent(series, age).unwrap().is_none();
+                let value = roll(40) as f64 * 0.2 - 4.0;
+                w.write_imputed(series, age, value).unwrap();
+                ix.on_write(series, age, value, was_missing);
+            }
+            if t % 23 != 0 {
+                continue;
+            }
+            poisoned += ix.blocks[0].iter().filter(|b| b.sum.is_nan()).count();
+            for l in [1usize, 7, 16, 17, 33, 48] {
+                if w.filled() < 2 * l {
+                    continue;
+                }
+                for refs in &ref_sets {
+                    let rows: Vec<Vec<Option<f64>>> = refs
+                        .iter()
+                        .map(|&r| {
+                            if r.index() < width {
+                                query_row(&w, r, l)
+                            } else {
+                                vec![Some(0.5); l]
+                            }
+                        })
+                        .collect();
+                    let row_refs: Vec<&[Option<f64>]> = rows.iter().map(|r| r.as_slice()).collect();
+                    let query = SignatureQuery::new(&row_refs);
+                    for lag in 0..w.filled() + 2 {
+                        let planned = ix.lower_bound_sq_with_query(refs, lag, l, &query);
+                        let walked = ix.lower_bound_sq_with_query_walk(refs, lag, l, &query);
+                        assert_eq!(
+                            (planned.0.to_bits(), planned.1),
+                            (walked.0.to_bits(), walked.1),
+                            "t={t} l={l} lag={lag} refs={refs:?}"
+                        );
+                        if let Some(newest) = ix.ordinal_of_age(lag) {
+                            if newest + 1 >= l as u64 && planned.0 > 0.0 {
+                                let start = newest + 1 - l as u64;
+                                residues[(start % SIGNATURE_BLOCK_LEN as u64) as usize] = true;
+                            }
+                        }
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert!(residues.iter().all(|&r| r), "residues hit: {residues:?}");
+        assert!(poisoned > 0, "no poisoned block sum was exercised");
+        assert!(compared > 10_000, "only {compared} bounds compared");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use catalog::{Catalog, ReferenceSelection};
 pub use errors::TsError;
 pub use missing::{GapReport, MissingMask};
 pub use partition::{FleetPartition, Migration, PARTITION_FORMAT_VERSION};
-pub use ring_buffer::RingBuffer;
+pub use ring_buffer::{RingBuffer, RingRun};
 pub use series::{SeriesId, TimeSeries};
 pub use stats::{mean, pearson, population_std, population_variance, Summary};
 pub use stream::{SliceStream, StreamSource, StreamTick};

@@ -11,6 +11,9 @@
 //! Advancing the window is O(1) (Lemma 6.1).
 
 use std::fmt;
+use std::ops::Range;
+
+use crate::errors::TsError;
 
 /// Fixed-capacity circular buffer over `f64` slots that may be missing.
 ///
@@ -131,6 +134,28 @@ impl RingBuffer {
         true
     }
 
+    /// The chronological run of `len` slots whose oldest slot lies
+    /// `oldest_age` steps in the past — ages `oldest_age`, `oldest_age − 1`,
+    /// …, `oldest_age + 1 − len`, in that order — as two contiguous slices:
+    /// the run up to the physical end of the ring, then the part that wraps
+    /// to its front (empty when the run does not wrap).  Reading a run this
+    /// way costs one modulo per run instead of one per slot.
+    ///
+    /// Returns [`TsError::InvalidParameter`] when the run starts before the
+    /// oldest pushed slot (`oldest_age ≥ len()`) or would run past the
+    /// newest one (`len > oldest_age + 1`).
+    pub fn chronological_run(
+        &self,
+        oldest_age: usize,
+        len: usize,
+    ) -> Result<RingRun<'_, Option<f64>>, TsError> {
+        check_run(oldest_age, len, self.filled)?;
+        let cap = self.capacity();
+        let start = (self.offset + cap - oldest_age) % cap;
+        let (head, tail) = split_run(start, len, cap);
+        Ok((&self.slots[head], &self.slots[tail]))
+    }
+
     /// Returns the window contents ordered from oldest to newest, including
     /// missing slots, but only for slots that have actually been pushed.
     pub fn to_chronological(&self) -> Vec<Option<f64>> {
@@ -169,6 +194,42 @@ impl RingBuffer {
         } else {
             Some(sum / n as f64)
         }
+    }
+}
+
+/// A chronological run of ring slots as two contiguous slices: the part up
+/// to the ring's physical end, then the part that wrapped to its front
+/// (empty when the run does not wrap).
+pub type RingRun<'a, T> = (&'a [T], &'a [T]);
+
+/// Validates a chronological run request of `len` slots starting
+/// `oldest_age` steps back against `filled` pushed slots (shared by the
+/// value rings and the window's provenance ring).
+pub(crate) fn check_run(oldest_age: usize, len: usize, filled: usize) -> Result<(), TsError> {
+    if oldest_age >= filled {
+        return Err(TsError::invalid(
+            "oldest_age",
+            format!("run starts at age {oldest_age} but only {filled} slots were pushed"),
+        ));
+    }
+    if len > oldest_age + 1 {
+        return Err(TsError::invalid(
+            "len",
+            format!("a run of {len} slots starting at age {oldest_age} passes the newest slot"),
+        ));
+    }
+    Ok(())
+}
+
+/// Raw-index ranges of a run of `len` consecutive ring slots starting at raw
+/// index `start` in a ring of `capacity` slots: the part up to the end of
+/// the ring, then the part that wraps to its front.
+pub(crate) fn split_run(start: usize, len: usize, capacity: usize) -> (Range<usize>, Range<usize>) {
+    let end = start + len;
+    if end <= capacity {
+        (start..end, 0..0)
+    } else {
+        (start..capacity, 0..end - capacity)
     }
 }
 
@@ -276,6 +337,68 @@ mod tests {
         let rb = RingBuffer::new(2);
         let s = format!("{rb:?}");
         assert!(s.contains("capacity"));
+    }
+
+    /// Concatenated run, for comparing against `recent`.
+    fn run(rb: &RingBuffer, oldest_age: usize, len: usize) -> Vec<Option<f64>> {
+        let (head, tail) = rb.chronological_run(oldest_age, len).unwrap();
+        head.iter().chain(tail).copied().collect()
+    }
+
+    #[test]
+    fn chronological_run_matches_recent_across_the_wrap() {
+        let mut rb = RingBuffer::new(5);
+        for i in 0..8 {
+            rb.push(if i == 6 { None } else { Some(i as f64) });
+        }
+        // Every run of every length reads the same values as `recent`, in
+        // chronological (oldest-first) order, whether or not it wraps.
+        for oldest_age in 0..5 {
+            for len in 0..=oldest_age + 1 {
+                let expected: Vec<Option<f64>> =
+                    (0..len).map(|i| rb.recent(oldest_age - i)).collect();
+                assert_eq!(run(&rb, oldest_age, len), expected, "{oldest_age}/{len}");
+            }
+        }
+        // The full window as a run is the chronological contents, and it
+        // wraps: the ring's physical end falls inside it.
+        let (head, tail) = rb.chronological_run(4, 5).unwrap();
+        assert!(!head.is_empty() && !tail.is_empty());
+        assert_eq!(run(&rb, 4, 5), rb.to_chronological());
+    }
+
+    #[test]
+    fn chronological_run_covers_a_partially_filled_buffer() {
+        let mut rb = RingBuffer::new(6);
+        for i in 0..3 {
+            rb.push(Some(i as f64));
+        }
+        // `len == filled`: the whole pushed history.
+        assert_eq!(run(&rb, 2, 3), vec![Some(0.0), Some(1.0), Some(2.0)]);
+        assert_eq!(run(&rb, 1, 1), vec![Some(1.0)]);
+    }
+
+    #[test]
+    fn chronological_run_out_of_range_is_a_typed_error() {
+        let mut rb = RingBuffer::new(4);
+        assert!(matches!(
+            rb.chronological_run(0, 1),
+            Err(TsError::InvalidParameter { .. })
+        ));
+        for i in 0..6 {
+            rb.push(Some(i as f64));
+        }
+        // Older than the oldest pushed slot.
+        assert!(matches!(
+            rb.chronological_run(4, 1),
+            Err(TsError::InvalidParameter { .. })
+        ));
+        // Past the newest slot.
+        assert!(matches!(
+            rb.chronological_run(1, 3),
+            Err(TsError::InvalidParameter { .. })
+        ));
+        assert!(rb.chronological_run(3, 4).is_ok());
     }
 
     #[test]

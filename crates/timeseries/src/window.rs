@@ -9,7 +9,7 @@
 //! imputed value that later appears inside patterns).
 
 use crate::errors::TsError;
-use crate::ring_buffer::RingBuffer;
+use crate::ring_buffer::{check_run, split_run, RingBuffer, RingRun};
 use crate::series::SeriesId;
 use crate::stream::StreamTick;
 use crate::timestamp::Timestamp;
@@ -210,6 +210,29 @@ impl StreamingWindow {
             value,
             state: self.states[id.index()][idx],
         })
+    }
+
+    /// Provenance of `id` over the chronological run of `len` slots whose
+    /// oldest slot lies `oldest_age` ticks back, as two contiguous slices —
+    /// the same layout [`RingBuffer::chronological_run`] gives for the
+    /// values.  One call replaces `len` [`StreamingWindow::slot_recent`]
+    /// reads when a sweep needs the provenance of a whole age range.
+    ///
+    /// Errors on an unknown series, and with [`TsError::InvalidParameter`]
+    /// when the run reaches outside the pushed slots.
+    pub fn state_run(
+        &self,
+        id: SeriesId,
+        oldest_age: usize,
+        len: usize,
+    ) -> Result<RingRun<'_, SlotState>, TsError> {
+        let states = self
+            .states
+            .get(id.index())
+            .ok_or(TsError::UnknownSeries(id))?;
+        check_run(oldest_age, len, self.filled())?;
+        let (head, tail) = split_run(self.ring_index(oldest_age), len, self.length);
+        Ok((&states[head], &states[tail]))
     }
 
     /// Writes an imputed value for `id` at `age` steps in the past and marks
@@ -477,6 +500,67 @@ mod tests {
         assert_eq!(s.state, SlotState::Missing);
         assert_eq!(s.value, None);
         assert!(w.slot_recent(SeriesId(7), 0).is_err());
+    }
+
+    /// Concatenated provenance run, for comparing against `slot_recent`.
+    fn states(w: &StreamingWindow, oldest_age: usize, len: usize) -> Vec<SlotState> {
+        let (head, tail) = w.state_run(SeriesId(0), oldest_age, len).unwrap();
+        head.iter().chain(tail).copied().collect()
+    }
+
+    #[test]
+    fn state_run_matches_slot_recent_across_the_wrap() {
+        let mut w = StreamingWindow::new(1, 5);
+        for t in 0..8i64 {
+            let v = if t % 3 == 1 { None } else { Some(t as f64) };
+            w.push_tick(&tick(t, vec![v])).unwrap();
+        }
+        w.write_imputed(SeriesId(0), 2, 9.0).unwrap();
+        for oldest_age in 0..5 {
+            for len in 0..=oldest_age + 1 {
+                let expected: Vec<SlotState> = (0..len)
+                    .map(|i| w.slot_recent(SeriesId(0), oldest_age - i).unwrap().state)
+                    .collect();
+                assert_eq!(states(&w, oldest_age, len), expected, "{oldest_age}/{len}");
+            }
+        }
+        // The whole window wraps the ring's physical end.
+        let (head, tail) = w.state_run(SeriesId(0), 4, 5).unwrap();
+        assert!(!head.is_empty() && !tail.is_empty());
+    }
+
+    #[test]
+    fn state_run_covers_a_partially_filled_window() {
+        let mut w = StreamingWindow::new(1, 6);
+        w.push_tick(&tick(0, vec![Some(1.0)])).unwrap();
+        w.push_tick(&tick(1, vec![None])).unwrap();
+        // `len == filled`: the whole pushed history.
+        assert_eq!(
+            states(&w, 1, 2),
+            vec![SlotState::Observed, SlotState::Missing]
+        );
+    }
+
+    #[test]
+    fn state_run_out_of_range_is_a_typed_error() {
+        let mut w = StreamingWindow::new(1, 4);
+        assert!(w.state_run(SeriesId(0), 0, 1).is_err());
+        for t in 0..6i64 {
+            w.push_tick(&tick(t, vec![Some(0.0)])).unwrap();
+        }
+        assert!(matches!(
+            w.state_run(SeriesId(0), 4, 1),
+            Err(TsError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            w.state_run(SeriesId(0), 1, 3),
+            Err(TsError::InvalidParameter { .. })
+        ));
+        assert_eq!(
+            w.state_run(SeriesId(3), 0, 1),
+            Err(TsError::UnknownSeries(SeriesId(3)))
+        );
+        assert!(w.state_run(SeriesId(0), 3, 4).is_ok());
     }
 
     #[test]
