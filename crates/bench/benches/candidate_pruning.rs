@@ -1,8 +1,7 @@
 //! Criterion benchmark for the composed signature-pruned candidate path:
 //! the same punctured periodic stream replayed through one engine per
-//! candidate path — exhaustive recompute, incremental maintenance
-//! (Section 6.2), and the composed path (warm-start τ-seeding + level-1 run
-//! prefilter + signature bounds).
+//! candidate path — the exhaustive recompute and the composed path
+//! (warm-start τ-seeding + level-1 run prefilter + signature bounds).
 //!
 //! Each iteration replays the full stream through a fresh engine, so the
 //! numbers are whole-pipeline (construction and per-tick index maintenance
@@ -39,14 +38,12 @@ fn workload() -> (usize, Vec<StreamTick>) {
     (width, ticks)
 }
 
-fn config(len: usize, incremental: bool, pruning: bool) -> TkcmConfig {
-    // With `pruning` on, `incremental` has no effect (always composed).
+fn config(len: usize, pruning: bool) -> TkcmConfig {
     TkcmConfig::builder()
         .window_length(len.max(150))
         .pattern_length(24)
         .anchor_count(5)
         .reference_count(3)
-        .incremental(incremental)
         .pruning(pruning)
         .build()
         .expect("valid config")
@@ -58,19 +55,12 @@ fn bench_pruning(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_pruning");
     group.sample_size(10);
 
-    for (name, incremental, pruning) in [
-        ("exhaustive", false, false),
-        ("maintained", true, false),
-        ("composed", true, true),
-    ] {
+    for (name, pruning) in [("exhaustive", false), ("composed", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut engine = TkcmEngine::new(
-                    width,
-                    config(len, incremental, pruning),
-                    Catalog::ring_neighbours(width),
-                )
-                .unwrap();
+                let mut engine =
+                    TkcmEngine::new(width, config(len, pruning), Catalog::ring_neighbours(width))
+                        .unwrap();
                 for tick in &ticks {
                     engine.process_tick(tick).unwrap();
                 }

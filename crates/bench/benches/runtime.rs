@@ -3,7 +3,8 @@
 //! `d`, the number of anchor points `k` and the window length `L`.
 //!
 //! Each parameter point is measured on both dissimilarity paths: `inc` reads
-//! the incrementally maintained `D` (Section 6.2, the engine default) and
+//! the incrementally maintained `D` (Section 6.2, the standalone
+//! `IncrementalDissimilarity` state) and
 //! `exact` recomputes every candidate pattern (`O(L·l·d)`, the paper's naive
 //! baseline whose pattern-extraction phase dominates).  The `tick` group
 //! measures the per-tick sliding-aggregate update the incremental path pays

@@ -1,5 +1,5 @@
 //! Candidate-pruning sweep: the composed signature-pruned path against the
-//! exhaustive and incremental candidate sweeps on the same punctured
+//! exhaustive candidate sweep on the same punctured
 //! SBR-like stream (bit-identical imputations asserted during the replay;
 //! wall times are medians of interleaved replays).
 //!
@@ -10,7 +10,7 @@
 //! machine-readable results CI uploads as the `BENCH_results_pruning`
 //! artifact: the per-mode table plus a flattened top-level `trend` object
 //! (`ticks_per_second_<mode>`, the composed path's `speedup_vs_exhaustive`,
-//! `speedup_vs_incremental`, `pruned_fraction`, ...) so nightly runs
+//! `pruned_fraction`, ...) so nightly runs
 //! accumulate directly gateable fields (paper scale is expected to hold
 //! `speedup_vs_exhaustive ≥ 2` and `pruned_fraction ≥ 0.5`).
 use std::time::Instant;

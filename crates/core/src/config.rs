@@ -5,6 +5,10 @@
 //! one year of 5-minute samples (`L = 105 120`).  For unit tests and small
 //! synthetic datasets smaller values are used, so every parameter is
 //! validated explicitly.
+//!
+//! `pruning` picks one of the engine's two candidate paths: the composed
+//! signature-pruned path (the default) or the exhaustive recompute that
+//! serves as its oracle.
 
 use std::fmt;
 
@@ -44,15 +48,10 @@ pub struct TkcmConfig {
     /// When `false` (default) a candidate pattern containing a missing
     /// reference value is skipped entirely.
     pub allow_missing_in_patterns: bool,
-    /// With `pruning` off, whether the streaming engine maintains the
-    /// dissimilarity array `D` incrementally per tick (Section 6.2, `true`,
-    /// the default) instead of recomputing it from scratch at every
-    /// imputation (`false`, the exact `O(L·l·d)`-per-imputation path kept as
-    /// the oracle).  With `pruning` on the flag has no effect: the engine
-    /// runs the composed path.  The flag only affects the engine tick path:
-    /// direct `TkcmImputer::impute` calls always recompute, and
-    /// non-decomposable dissimilarity measures (DTW) fall back to exact
-    /// recomputation regardless of the flag.
+    /// Has no effect: the engine runs the composed path or the exhaustive
+    /// oracle per `pruning` alone.  The field and its snapshot byte are
+    /// kept so existing callers compile and the `TkcmConfig` snapshot
+    /// layout stays unchanged.
     pub incremental: bool,
     /// Whether the streaming engine runs the composed path: candidate
     /// pruning through the block-quantized signature index
@@ -60,7 +59,7 @@ pub struct TkcmConfig {
     /// lags.  `true` (default) keeps the engine's output bit-identical to
     /// the exhaustive path (the bound is admissible) while skipping most
     /// exact evaluations; `false` is the explicit opt-out that selects the
-    /// incremental (or exact) path per `incremental`.  Pruning requires
+    /// exhaustive recompute, the oracle.  Pruning requires
     /// dynamic-programming selection and an incrementally decomposable
     /// dissimilarity (L2); other configurations ignore the flag.
     pub pruning: bool,
@@ -157,18 +156,13 @@ impl fmt::Display for TkcmConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "TKCM(L={}, l={}, k={}, d={}, {:?}, {:?}, {}, {})",
+            "TKCM(L={}, l={}, k={}, d={}, {:?}, {:?}, {})",
             self.window_length,
             self.pattern_length,
             self.anchor_count,
             self.reference_count,
             self.selection,
             self.aggregation,
-            if self.incremental {
-                "incremental-D"
-            } else {
-                "exact-D"
-            },
             if self.pruning { "pruned" } else { "exhaustive" }
         )
     }
@@ -185,7 +179,6 @@ pub struct TkcmConfigBuilder {
     aggregation: Option<AnchorAggregation>,
     selection: Option<SelectionStrategy>,
     allow_missing_in_patterns: Option<bool>,
-    incremental: Option<bool>,
     pruning: Option<bool>,
 }
 
@@ -240,16 +233,8 @@ impl TkcmConfigBuilder {
         self
     }
 
-    /// With pruning off, selects between the Section 6.2 incremental `D`
-    /// maintenance (`true`, default) and the exact recompute-all path
-    /// (`false`); with pruning on it has no effect.
-    pub fn incremental(mut self, value: bool) -> Self {
-        self.incremental = Some(value);
-        self
-    }
-
-    /// Enables (`true`, default) or disables (`false`) the composed
-    /// signature-pruned path on the engine tick path.
+    /// Enables (`true`, default) the composed signature-pruned path on the
+    /// engine tick path, or (`false`) selects the exhaustive recompute.
     pub fn pruning(mut self, value: bool) -> Self {
         self.pruning = Some(value);
         self
@@ -278,9 +263,6 @@ impl TkcmConfigBuilder {
         }
         if let Some(v) = self.allow_missing_in_patterns {
             config.allow_missing_in_patterns = v;
-        }
-        if let Some(v) = self.incremental {
-            config.incremental = v;
         }
         if let Some(v) = self.pruning {
             config.pruning = v;

@@ -75,8 +75,9 @@ pub struct PhaseBreakdown {
     /// Value imputation: averaging the anchor values and writing back.
     pub imputation: Duration,
     /// Incremental `D[j]` maintenance (Section 6.2): the per-tick sliding
-    /// aggregate updates, state rebuilds and write-back invalidation.  Zero
-    /// on the exact-recompute path, where that work is part of extraction.
+    /// aggregate updates and state rebuilds.  Only callers that drive an
+    /// [`crate::incremental::IncrementalDissimilarity`] themselves fill it;
+    /// the streaming engine's two paths leave it at zero.
     pub maintenance: Duration,
     /// Number of imputations the breakdown was accumulated over.
     pub imputations: usize,
@@ -164,7 +165,7 @@ pub enum Phase {
     Selection,
     /// Value imputation (step 3).
     Imputation,
-    /// Incremental `D[j]` maintenance (Section 6.2; engine tick path only).
+    /// Incremental `D[j]` maintenance (Section 6.2).
     Maintenance,
 }
 

@@ -8,7 +8,7 @@
 //! imputations can treat them as history, exactly as in Example 1 of the
 //! paper where `r2(13:40)` is an imputed value.
 //!
-//! The engine dispatches every imputation to one of three candidate paths:
+//! The engine dispatches every imputation to one of two candidate paths:
 //!
 //! * **Composed** (`TkcmConfig::pruning`, the default): a signature index
 //!   over all series, kept in lock-step with the window, prunes the
@@ -18,26 +18,21 @@
 //!   seed the pruning threshold.  A lag is a position, not a value, so the
 //!   entry needs no per-tick advance and no write-back patching; it is
 //!   evicted once no imputation has used it for `2l` ticks.
-//! * **Dense incremental** (`pruning` off, `incremental` on): one
-//!   [`IncrementalDissimilarity`] state per active reference set, advanced
-//!   after every pushed tick (Section 6.2's `O(L·d)` sliding-aggregate
-//!   update), patched after every imputed write-back, rebuilt lazily when a
-//!   new reference set first appears, and evicted after `2l` unused ticks
-//!   (keeping an idle state alive costs one advance per tick ≈ a rebuild
-//!   every `l` ticks).  It is faster than the composed path on small
-//!   windows.
-//! * **Exact** (both flags off): the exhaustive recompute, the oracle the
-//!   other two are checked against.
+//! * **Exhaustive** (`pruning` off): the from-scratch recompute of every
+//!   candidate's `D`, the oracle the composed path is checked against bit
+//!   for bit.
+//!
+//! Section 6.2's sliding-aggregate maintenance of `D` lives on as a
+//! standalone type in [`crate::incremental`]; the engine does not run it,
+//! because the composed path is faster on every measured workload.
 
 use std::sync::LazyLock;
-use std::time::Instant;
 
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp, TsError};
 
 use crate::config::TkcmConfig;
 use crate::diagnostics::PhaseBreakdown;
 use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
-use crate::incremental::IncrementalDissimilarity;
 use crate::signature::SignatureIndex;
 
 /// Fleet-wide pruning totals in the global metrics registry, in the same
@@ -55,12 +50,11 @@ static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 5]> = LazyLock::new(|| {
     .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
 
-/// Maintainer and warm-start lifecycle counters (created / evicted),
-/// record-only.
-static MAINTAINERS_CREATED: LazyLock<tkcm_obs::Counter> =
-    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_created_total", &[]));
-static MAINTAINERS_EVICTED: LazyLock<tkcm_obs::Counter> =
-    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_evicted_total", &[]));
+/// Warm-start lifecycle counters (created / evicted), record-only.
+static WARM_STARTS_CREATED: LazyLock<tkcm_obs::Counter> =
+    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_warm_start_created_total", &[]));
+static WARM_STARTS_EVICTED: LazyLock<tkcm_obs::Counter> =
+    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_warm_start_evicted_total", &[]));
 
 /// One imputation performed by the engine at a tick.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,13 +104,6 @@ impl EngineOutcome {
     }
 }
 
-/// One maintained dissimilarity state plus the tick it last served.
-/// (`pub(crate)` for the snapshot codec in `persist`.)
-pub(crate) struct Maintainer {
-    pub(crate) state: IncrementalDissimilarity,
-    pub(crate) last_used: usize,
-}
-
 /// The composed path's warm start for one reference set: the lags of the
 /// previous imputation's anchors (at most `k`, each in `l ..= L − l`) plus
 /// the tick it last served.  The lags only order τ-seeding; every `D` is
@@ -139,10 +126,6 @@ pub struct TkcmEngine {
     pub(crate) breakdown: PhaseBreakdown,
     pub(crate) imputation_count: usize,
     pub(crate) tick_count: usize,
-    /// Incremental `D` states, one per reference set that recently served an
-    /// imputation.  Empty while no imputation has been needed and on the
-    /// exact-recompute path.
-    pub(crate) maintainers: Vec<Maintainer>,
     /// Signature index over all series, present iff the composed path is
     /// active ([`TkcmEngine::is_composed`]); kept in lock-step with the
     /// window by `advance_tick`/`commit_write_back` and persisted in
@@ -208,7 +191,6 @@ impl TkcmEngine {
             breakdown: PhaseBreakdown::default(),
             imputation_count: 0,
             tick_count: 0,
-            maintainers: Vec::new(),
             signatures,
             warm_starts: Vec::new(),
             level1_run_len,
@@ -241,36 +223,17 @@ impl TkcmEngine {
         self.imputation_count
     }
 
-    /// Accumulated phase-timing breakdown over all imputations (Section 7.4),
-    /// including the per-tick incremental maintenance time.
+    /// Accumulated phase-timing breakdown over all imputations (Section 7.4).
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
         self.breakdown
     }
 
-    /// Whether the engine maintains *dense* `D` aggregates incrementally
-    /// (the configuration flag is on *and* the dissimilarity measure
-    /// decomposes *and* the composed path is not active — with pruning on,
-    /// the `incremental` flag has no effect; see [`TkcmEngine::is_composed`]).
-    pub fn is_incremental(&self) -> bool {
-        self.imputer.config().incremental
-            && self.imputer.supports_incremental()
-            && !self.is_pruned()
-    }
-
-    /// Whether signature pruning is active: the `TkcmConfig::pruning`
-    /// opt-in, dynamic-programming selection and a decomposable (L2)
-    /// dissimilarity.  Pruning always runs the composed path, so this equals
-    /// [`TkcmEngine::is_composed`].
-    pub fn is_pruned(&self) -> bool {
-        self.signatures.is_some()
-    }
-
     /// Whether the *composed* path — signature pruning seeded from a warm
-    /// start — is active.  This is the default dispatch; with `pruning` off,
-    /// `incremental` selects the dense Section 6.2 path and its absence the
-    /// exact recompute.
+    /// start — is active: the `TkcmConfig::pruning` opt-in,
+    /// dynamic-programming selection and a decomposable (L2) dissimilarity.
+    /// Otherwise every imputation runs the exhaustive recompute.
     pub fn is_composed(&self) -> bool {
-        self.is_pruned()
+        self.signatures.is_some()
     }
 
     /// The composed path's level-1 run length (candidate lags per coarse
@@ -286,44 +249,11 @@ impl TkcmEngine {
         self.prune_totals
     }
 
-    /// Number of live incremental `D` states (one per recently used
-    /// reference set; 0 on the exact path or before the first imputation).
-    pub fn maintainer_count(&self) -> usize {
-        self.maintainers.len()
-    }
-
-    /// Ticks an incremental state may go unused before it is evicted.  A
-    /// rebuild costs about `l` advances, so holding an idle state longer
-    /// than `O(l)` ticks is more expensive than rebuilding on demand; `2l`
-    /// adds hysteresis for intermittent gaps.
-    fn maintainer_ttl(&self) -> usize {
+    /// Ticks a warm start may go unused before it is evicted: `2l` carries
+    /// the seed across intermittent gaps, while stale lags (which cost
+    /// pruning) do not linger.
+    fn warm_start_ttl(&self) -> usize {
         2 * self.imputer.config().pattern_length
-    }
-
-    /// Index of the maintainer for `references`, creating (and rebuilding)
-    /// one if this reference set has no live state yet.
-    fn maintainer_for(&mut self, references: &[SeriesId]) -> Result<usize, TsError> {
-        if let Some(idx) = self
-            .maintainers
-            .iter()
-            .position(|m| m.state.references() == references)
-        {
-            return Ok(idx);
-        }
-        let config = self.imputer.config();
-        let mut state = IncrementalDissimilarity::new(
-            references.to_vec(),
-            config.pattern_length,
-            config.window_length,
-            config.allow_missing_in_patterns,
-        )?;
-        state.rebuild(&self.window)?;
-        self.maintainers.push(Maintainer {
-            state,
-            last_used: self.tick_count,
-        });
-        MAINTAINERS_CREATED.inc();
-        Ok(self.maintainers.len() - 1)
     }
 
     /// Index of the warm start for `references`, creating an empty one (a
@@ -342,7 +272,7 @@ impl TkcmEngine {
                     lags: Vec::new(),
                     last_used: self.tick_count,
                 });
-                MAINTAINERS_CREATED.inc();
+                WARM_STARTS_CREATED.inc();
                 self.warm_starts.len() - 1
             }
         };
@@ -363,12 +293,10 @@ impl TkcmEngine {
         PRUNE_TOTALS[4].add(stats.maintained_lags as u64);
     }
 
-    /// Processes one arriving tick: pushes it into the window, advances the
-    /// incremental dissimilarity states, imputes every missing series and
-    /// writes the imputed values back into the window (patching the states).
+    /// Processes one arriving tick: pushes it into the window, imputes every
+    /// missing series and writes the imputed values back into the window.
     pub fn process_tick(&mut self, tick: &StreamTick) -> Result<EngineOutcome, TsError> {
         self.advance_tick(tick)?;
-        let incremental = self.is_incremental();
 
         let mut outcome = EngineOutcome::default();
         let missing = self.window.currently_missing();
@@ -388,7 +316,7 @@ impl TkcmEngine {
                 outcome.skipped.push(target);
                 continue;
             }
-            let (detail, maintainer) = if self.is_composed() {
+            let detail = if self.is_composed() {
                 let widx = self.warm_start_for(&selection.references);
                 let index = self.signatures.as_ref().ok_or_else(|| {
                     TsError::invalid("signature", "composed path without a signature index")
@@ -402,26 +330,12 @@ impl TkcmEngine {
                     self.level1_run_len,
                 )?;
                 self.record_prune_stats(&stats);
-                (detail, None)
-            } else if incremental {
-                let start = Instant::now();
-                let idx = self.maintainer_for(&selection.references)?;
-                self.maintainers[idx].last_used = self.tick_count;
-                self.breakdown.maintenance += start.elapsed();
-                let detail = self.imputer.impute_maintained(
-                    &self.window,
-                    target,
-                    &selection.references,
-                    &self.maintainers[idx].state,
-                )?;
-                (detail, Some(idx))
+                detail
             } else {
-                let detail = self
-                    .imputer
-                    .impute(&self.window, target, &selection.references)?;
-                (detail, None)
+                self.imputer
+                    .impute(&self.window, target, &selection.references)?
             };
-            self.commit_write_back(target, &selection.references, detail.value, maintainer)?;
+            self.commit_write_back(target, &selection.references, detail.value)?;
             self.breakdown.merge(&detail.breakdown);
             outcome.imputations.push(Imputation {
                 series: target,
@@ -439,7 +353,7 @@ impl TkcmEngine {
     /// The batch path is **bit-identical** to `N` sequential
     /// [`TkcmEngine::process_tick`] calls: each tick runs through exactly the
     /// same `advance_tick` → impute → `commit_write_back` sequence, so window
-    /// contents, maintainer creation/eviction timing and every running sum
+    /// contents, signature envelopes and warm-start creation/eviction timing
     /// come out the same bits either way (the property
     /// `tkcm-runtime/tests/batching.rs` pins).  Batching exists so callers —
     /// the sharded runtime's workers above all — can amortise *their* per-tick
@@ -458,75 +372,36 @@ impl TkcmEngine {
         Ok(outcomes)
     }
 
-    /// Pushes a tick into the window and brings the maintained dissimilarity
-    /// states up to date (TTL eviction + Section 6.2 advance).  Shared by
-    /// [`TkcmEngine::process_tick`] and the WAL replay path so that replayed
-    /// ticks mutate the state through exactly the code live ticks do.
+    /// Pushes a tick into the window, keeps the signature index in lock-step
+    /// and evicts idle warm starts.  Shared by [`TkcmEngine::process_tick`]
+    /// and the WAL replay path so that replayed ticks mutate the state
+    /// through exactly the code live ticks do.
     fn advance_tick(&mut self, tick: &StreamTick) -> Result<(), TsError> {
         self.window.push_tick(tick)?;
         self.tick_count += 1;
         if let Some(index) = self.signatures.as_mut() {
             index.on_push(&tick.values)?;
         }
-        if self.is_incremental() && !self.maintainers.is_empty() {
-            let start = Instant::now();
-            let tick_count = self.tick_count;
-            let ttl = self.maintainer_ttl();
-            let before_eviction = self.maintainers.len();
-            self.maintainers
-                .retain(|m| tick_count.saturating_sub(m.last_used) <= ttl);
-            MAINTAINERS_EVICTED.add((before_eviction - self.maintainers.len()) as u64);
-            for m in &mut self.maintainers {
-                m.state.advance(&self.window)?;
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
         if !self.warm_starts.is_empty() {
-            // Same TTL as the dense maintainers.  A warm start holds lags,
-            // not values, so nothing slides.
             let tick_count = self.tick_count;
-            let ttl = self.maintainer_ttl();
+            let ttl = self.warm_start_ttl();
             let before_eviction = self.warm_starts.len();
             self.warm_starts
                 .retain(|w| tick_count.saturating_sub(w.last_used) <= ttl);
-            MAINTAINERS_EVICTED.add((before_eviction - self.warm_starts.len()) as u64);
+            WARM_STARTS_EVICTED.add((before_eviction - self.warm_starts.len()) as u64);
         }
         Ok(())
     }
 
-    /// Commits one imputed value: ensures the reference set's maintainer or
-    /// warm start exists (creating a maintainer rebuilds from the
-    /// *pre-write* window, matching where the live path creates it before
-    /// imputing), writes the value into the window and patches every
-    /// affected maintainer.
-    ///
-    /// The write-back changes a current-tick slot from missing to imputed;
-    /// every state whose reference set contains the target must fold the new
-    /// value into its running sums so later imputations at this tick (and
-    /// future ticks) see the same window contents as a from-scratch recompute
-    /// would.  States whose reference set does not contain the target are
-    /// untouched by the write and are skipped — invalidating all of them made
-    /// every write-back O(maintainers) even when only one (or none) of the
-    /// states could be affected.
-    /// `maintainer` is the reference set's already-resolved maintainer index
-    /// when the caller just looked it up (the live path, which needed the
-    /// state to impute); `None` makes this method resolve it — the replay
-    /// path, where ensuring the maintainer exists *before* the write is what
-    /// reproduces the live path's creation timing.
+    /// Commits one imputed value: ensures the reference set's warm start
+    /// exists (on the composed path), writes the value into the window and
+    /// widens the signature envelopes over the written slot.
     fn commit_write_back(
         &mut self,
         target: SeriesId,
         references: &[SeriesId],
         value: f64,
-        maintainer: Option<usize>,
     ) -> Result<(), TsError> {
-        let incremental = self.is_incremental();
-        if incremental && maintainer.is_none() {
-            let start = Instant::now();
-            let idx = self.maintainer_for(references)?;
-            self.maintainers[idx].last_used = self.tick_count;
-            self.breakdown.maintenance += start.elapsed();
-        }
         if self.is_composed() {
             // Mirror the live path's creation and TTL timing on WAL replay:
             // the warm start for this reference set is created (empty) or
@@ -543,23 +418,14 @@ impl TkcmEngine {
             // target missing slots), so the slot's missing count drops.
             index.on_write(target, 0, value, true);
         }
-        if incremental {
-            let start = Instant::now();
-            for m in &mut self.maintainers {
-                if m.state.references().contains(&target) {
-                    m.state.on_write(&self.window, target, 0, None)?;
-                }
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
         self.imputation_count += 1;
         Ok(())
     }
 
     /// Replays one logged tick and its write-backs, reproducing the exact
     /// state transitions of the original [`TkcmEngine::process_tick`] call —
-    /// same window bits, same maintainer creation/eviction timing, same
-    /// running-sum arithmetic — without re-running pattern extraction or
+    /// same window bits, same signature envelopes, same warm-start
+    /// creation/eviction timing — without re-running pattern extraction or
     /// selection (the logged values are authoritative).
     ///
     /// Entries whose tick time is not ahead of the window are *stale* — they
@@ -574,7 +440,7 @@ impl TkcmEngine {
         }
         self.advance_tick(&entry.tick)?;
         for wb in &entry.write_backs {
-            self.commit_write_back(wb.series, &wb.references, wb.value, None)?;
+            self.commit_write_back(wb.series, &wb.references, wb.value)?;
             // The live path counts imputations through the merged per-
             // imputation breakdown; keep the replayed counter in step (the
             // phase *durations* legitimately differ — they are wall-clock).
@@ -749,83 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn write_back_only_invalidates_maintainers_referencing_the_target() {
-        // Two independent pairs: 0 ↔ 1 and 2 ↔ 3.  A maintainer exists for
-        // reference set [1] (serving series 0) and one for [3] (serving
-        // series 2).  Write-backs into series 2 must leave the [1] state
-        // byte-identical to a twin run in which series 2 never goes missing
-        // (so no write-back happens at all): the [1] state is a function of
-        // series 1 alone, which is identical in both runs.
-        let mut catalog = Catalog::new();
-        catalog
-            .set_candidates(SeriesId(0), vec![SeriesId(1)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(1), vec![SeriesId(0)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(2), vec![SeriesId(3)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(3), vec![SeriesId(2)])
-            .unwrap();
-        // Pruning replaces maintainers entirely; this test inspects them, so
-        // run the PR-2 incremental path explicitly.
-        let config = crate::config::TkcmConfigBuilder::from_config(small_config(128, 3, 2, 1))
-            .pruning(false)
-            .build()
-            .unwrap();
-        let mut with_writes = TkcmEngine::new(4, config.clone(), catalog.clone()).unwrap();
-        let mut without_writes = TkcmEngine::new(4, config, catalog).unwrap();
-
-        let mut imputed_2 = 0usize;
-        for t in 0..120usize {
-            let base = sine(t, 24.0, 0.0);
-            // Series 0 misses every 5th tick from 100 on (creates the [1]
-            // maintainer in both runs and keeps it within its idle TTL);
-            // series 2 later misses a block only in the first run, producing
-            // the unrelated write-backs under test.
-            let s0 = if t >= 100 && t % 5 == 0 {
-                None
-            } else {
-                Some(base)
-            };
-            let s2 = Some(sine(t, 24.0, 3.0));
-            let s2_gapped = if (110..118).contains(&t) { None } else { s2 };
-            let others = (Some(sine(t, 24.0, 7.0)), Some(sine(t, 24.0, 11.0)));
-
-            let tick_a = StreamTick::new(
-                Timestamp::new(t as i64),
-                vec![s0, others.0, s2_gapped, others.1],
-            );
-            let tick_b =
-                StreamTick::new(Timestamp::new(t as i64), vec![s0, others.0, s2, others.1]);
-            let outcome = with_writes.process_tick(&tick_a).unwrap();
-            without_writes.process_tick(&tick_b).unwrap();
-            imputed_2 += usize::from(outcome.imputed_value(SeriesId(2)).is_some());
-
-            let state_of = |e: &TkcmEngine| {
-                e.maintainers
-                    .iter()
-                    .find(|m| m.state.references() == [SeriesId(1)])
-                    .map(|m| format!("{:?}", m.state))
-            };
-            assert_eq!(
-                state_of(&with_writes),
-                state_of(&without_writes),
-                "tick {t}: series-2 write-back leaked into the [1] maintainer"
-            );
-            if t >= 100 {
-                assert!(
-                    state_of(&with_writes).is_some(),
-                    "maintainer [1] evicted early"
-                );
-            }
-        }
-        assert_eq!(imputed_2, 8);
-    }
-
-    #[test]
     fn process_batch_is_bit_identical_to_sequential_ticks() {
         let width = 3;
         let config = small_config(128, 3, 2, 2);
@@ -872,7 +661,7 @@ mod tests {
             per_tick.imputations_performed(),
             batched.imputations_performed()
         );
-        assert_eq!(per_tick.maintainer_count(), batched.maintainer_count());
+        assert_eq!(per_tick.warm_starts, batched.warm_starts);
     }
 
     #[test]
@@ -891,31 +680,27 @@ mod tests {
 
     #[test]
     fn pruned_path_matches_exhaustive_and_incremental_bit_for_bit() {
+        // The engine's two candidate paths: composed (`pruning` on) and the
+        // exhaustive oracle (`pruning` off).
         let width = 3;
         let base = small_config(320, 16, 2, 2);
-        let mk = |pruning: bool, incremental: bool| {
+        let mk = |pruning: bool| {
             let config = crate::config::TkcmConfigBuilder::from_config(base.clone())
                 .pruning(pruning)
-                .incremental(incremental)
                 .build()
                 .unwrap();
             TkcmEngine::new(width, config, catalog_for(width)).unwrap()
         };
-        // The four flag corners: (pruning, incremental).  Pruning always
-        // runs the composed path, so `incremental` only matters without it.
-        let mut composed = mk(true, true);
-        let mut pruned = mk(true, false);
-        let mut incremental = mk(false, true);
-        let mut exhaustive = mk(false, false);
-        assert!(composed.is_pruned() && composed.is_composed() && !composed.is_incremental());
-        assert!(pruned.is_pruned() && pruned.is_composed() && !pruned.is_incremental());
-        assert!(!incremental.is_pruned() && incremental.is_incremental());
-        assert!(!exhaustive.is_pruned() && !exhaustive.is_incremental());
+        let mut composed = mk(true);
+        let mut exhaustive = mk(false);
+        assert!(composed.is_composed());
+        assert!(!exhaustive.is_composed());
 
         // Period-128 integer sawtooths: candidates one/two periods back match
         // the query exactly (τ = 0), every off-phase candidate has a large
         // envelope gap — the regime the signature index is built for.
         let saw = |t: usize, shift: usize| ((t + shift) % 128) as f64;
+        let mut imputed = 0usize;
         for t in 0..400usize {
             let missing = t > 60 && t % 7 < 2;
             let s0 = if missing { None } else { Some(saw(t, 0)) };
@@ -924,55 +709,31 @@ mod tests {
                 vec![s0, Some(saw(t, 31)), Some(saw(t, 67))],
             );
             let m = composed.process_tick(&tick).unwrap();
-            let a = pruned.process_tick(&tick).unwrap();
-            let b = incremental.process_tick(&tick).unwrap();
             let c = exhaustive.process_tick(&tick).unwrap();
-            assert_eq!(a.skipped, b.skipped, "tick {t}");
-            assert_eq!(a.skipped, c.skipped, "tick {t}");
-            assert_eq!(a.imputations.len(), b.imputations.len(), "tick {t}");
-            assert_eq!(a.imputations.len(), c.imputations.len(), "tick {t}");
-            // Composed vs exhaustive: fully bit-identical outcomes (both
-            // evaluate the exact D of every anchor; bounds only skip losers).
+            // Fully bit-identical outcomes: both evaluate the exact D of
+            // every anchor; bounds only skip losers.
             assert_eq!(
                 m.timing_stripped(),
                 c.timing_stripped(),
                 "tick {t}: composed diverged from exhaustive"
             );
-            for ((x, y), z) in a
-                .imputations
-                .iter()
-                .zip(b.imputations.iter())
-                .zip(c.imputations.iter())
-            {
-                // Pruned vs exhaustive: bit-identical (both evaluate the
-                // exact D of every anchor; pruning only skips losers).
-                assert_eq!(x.value.to_bits(), z.value.to_bits(), "tick {t}");
-                assert_eq!(x.detail.anchors, z.detail.anchors, "tick {t}");
-                assert_eq!(x.detail.complete, z.detail.complete, "tick {t}");
-                // Vs the PR-2 incremental path: that path's running sums are
-                // only 1e-9-close to exact (its own equivalence contract),
-                // so anchor times must agree but D may differ in low bits.
-                let tx: Vec<_> = x.detail.anchors.iter().map(|a| a.time).collect();
-                let ty: Vec<_> = y.detail.anchors.iter().map(|a| a.time).collect();
-                assert_eq!(tx, ty, "tick {t}");
-                assert!((x.value - y.value).abs() <= 1e-9 * (1.0 + x.value.abs()));
-            }
+            imputed += m.imputations.len();
         }
-        let totals = pruned.prune_totals();
+        assert!(imputed > 0);
+        let totals = composed.prune_totals();
         assert!(totals.candidates > 0);
         assert!(
             totals.pruned > 0,
             "expected some pruning on a periodic signal: {totals:?}"
         );
-        let ctotals = composed.prune_totals();
-        assert_eq!(ctotals, totals, "pruning ignores the incremental flag");
         assert!(
-            ctotals.maintained_lags > 0,
-            "composed path should offer warm-start lags: {ctotals:?}"
+            totals.maintained_lags > 0,
+            "composed path should offer warm-start lags: {totals:?}"
         );
-        assert_eq!(ctotals.maintained_pruned, 0);
+        assert_eq!(totals.maintained_pruned, 0);
         assert!(!composed.warm_starts.is_empty());
-        assert_eq!(incremental.prune_totals(), PruneStats::default());
+        assert_eq!(exhaustive.prune_totals(), PruneStats::default());
+        assert!(exhaustive.warm_starts.is_empty());
     }
 
     #[test]

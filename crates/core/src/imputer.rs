@@ -213,7 +213,8 @@ impl TkcmImputer {
     /// length and missing-value policy, and must be in lock-step with the
     /// window (its [`IncrementalDissimilarity::advance`] called after every
     /// pushed tick) — otherwise an error is returned.  The streaming engine
-    /// manages this automatically when `TkcmConfig::incremental` is on.
+    /// does not use this path; callers drive the state themselves, as the
+    /// Figure 17 runtime experiment does.
     pub fn impute_maintained(
         &self,
         window: &StreamingWindow,

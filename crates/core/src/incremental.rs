@@ -32,12 +32,16 @@
 //! imputation.  Missing values are handled by carrying the *observed pair
 //! count* alongside each running sum: a pair contributes only when both the
 //! candidate and the query slot are present, exactly mirroring
-//! [`crate::dissimilarity::l2_components`].  Slots whose state changes after
-//! the fact (missing → imputed via write-back) are patched through the
-//! [`IncrementalDissimilarity::on_write`] invalidation hook so the running
-//! sums always equal what a from-scratch recompute over the *current* window
-//! contents would produce — the invariant the property tests in
-//! `tests/incremental_properties.rs` assert.
+//! [`crate::dissimilarity::l2_components`], so the running sums equal what a
+//! from-scratch recompute over the window would produce — the invariant the
+//! property tests in `tests/incremental_properties.rs` assert.
+//!
+//! This is a standalone type: the streaming engine does not run it (its
+//! composed pruning path is faster on every measured workload).  The
+//! Figure 17 runtime experiment and the `runtime` bench drive it directly,
+//! through [`crate::imputer::TkcmImputer::impute_maintained`].  It has no
+//! hook for values written into the window after the fact; a caller that
+//! writes into a reference series must [`IncrementalDissimilarity::rebuild`].
 //!
 //! Floating-point drift from the add/subtract cycle is bounded by rebuilding
 //! from scratch every `L` ticks (amortised `O(l·d)` per tick, negligible).
@@ -59,31 +63,27 @@ static REBUILDS: LazyLock<tkcm_obs::Counter> =
 /// The state is valid for exactly one `(references, l, L, allow_missing)`
 /// combination and must be kept in lock-step with the window it was built
 /// over: call [`IncrementalDissimilarity::advance`] after every
-/// `StreamingWindow::push_tick` and [`IncrementalDissimilarity::on_write`]
-/// after every `StreamingWindow::write_imputed` that touches a reference
-/// series.  [`crate::engine::TkcmEngine`] does both automatically.
+/// `StreamingWindow::push_tick`, and [`IncrementalDissimilarity::rebuild`]
+/// after writing into a reference series.
 #[derive(Clone, Debug)]
 pub struct IncrementalDissimilarity {
-    // Fields are `pub(crate)` so the snapshot codec (`persist`) can persist
-    // the running sums bit-exactly; recovery equivalence depends on the
-    // accumulated `f64`s coming back with their exact bits, not on a rebuild.
-    pub(crate) references: Vec<SeriesId>,
-    pub(crate) pattern_length: usize,
-    pub(crate) window_length: usize,
-    pub(crate) allow_missing: bool,
+    references: Vec<SeriesId>,
+    pattern_length: usize,
+    window_length: usize,
+    allow_missing: bool,
     /// `sums[a - l]` = running Σ of squared differences over observed pairs
     /// for the candidate at lag `a`.
-    pub(crate) sums: Vec<f64>,
+    sums: Vec<f64>,
     /// `counts[a - l]` = number of observed pairs in that sum (≤ `d·l`).
-    pub(crate) counts: Vec<u32>,
+    counts: Vec<u32>,
     /// Per-reference value at age `L − 1` after the last sync point: the slot
     /// the ring buffer will evict on the next push.  Needed because the
     /// expiring column of the maximum lag (`a = L − l`) reaches age `L`,
     /// which is no longer addressable after the push.
-    pub(crate) prev_oldest: Vec<Option<f64>>,
+    prev_oldest: Vec<Option<f64>>,
     /// Window time of the last sync ([`Self::rebuild`] / [`Self::advance`]).
-    pub(crate) last_time: Option<Timestamp>,
-    pub(crate) ticks_since_rebuild: usize,
+    last_time: Option<Timestamp>,
+    ticks_since_rebuild: usize,
 }
 
 impl IncrementalDissimilarity {
@@ -238,83 +238,6 @@ impl IncrementalDissimilarity {
         self.snapshot_oldest(window)?;
         self.last_time = Some(now);
         self.ticks_since_rebuild += 1;
-        Ok(())
-    }
-
-    /// Invalidation hook for a value written into the window after the fact
-    /// (`StreamingWindow::write_imputed`): patches every running sum that
-    /// paired against the changed slot, keeping the invariant that the sums
-    /// equal a from-scratch recompute over current window contents.
-    ///
-    /// `age` is the age the value was written at and `old` the slot's value
-    /// *before* the write (`None` for the usual missing → imputed
-    /// transition).  Writes to series outside the reference set are ignored
-    /// — anchor eligibility is re-read from the window at imputation time
-    /// and needs no state.  Cost: `O(L)` for a current-tick write (`age 0`,
-    /// the engine's write-back), `O(l)` additional for historical writes.
-    pub fn on_write(
-        &mut self,
-        window: &StreamingWindow,
-        series: SeriesId,
-        age: usize,
-        old: Option<f64>,
-    ) -> Result<(), TsError> {
-        let Some(ri) = self.references.iter().position(|&r| r == series) else {
-            return Ok(());
-        };
-        if !self.is_synced(window) {
-            // The sums describe an older window snapshot, so the write can't
-            // be patched in coherently.  Drop the sync point entirely: a
-            // merely one-tick-behind state would otherwise take the
-            // incremental path on the next advance() and carry the unpatched
-            // slot for up to L ticks.
-            self.last_time = None;
-            return Ok(());
-        }
-        let l = self.pattern_length;
-        let buf = window.buffer(series)?;
-        let new = buf.recent(age);
-        if new == old {
-            return Ok(());
-        }
-        // Query-side usage: the slot is column `age` of the query pattern and
-        // pairs against every candidate lag — but only while `age < l`.
-        if age < l {
-            for (idx, (sum, count)) in self.sums.iter_mut().zip(self.counts.iter_mut()).enumerate()
-            {
-                let lag = idx + l;
-                let x = buf.recent(lag + age);
-                if let (Some(x), Some(y)) = (x, old) {
-                    *sum -= (x - y) * (x - y);
-                    *count -= 1;
-                }
-                if let (Some(x), Some(y)) = (x, new) {
-                    *sum += (x - y) * (x - y);
-                    *count += 1;
-                }
-            }
-        }
-        // Candidate-side usage: the slot is the candidate value of lag
-        // `age − q` paired against query column `q` (age `q < l`).
-        for q in 0..l.min(age + 1) {
-            let lag = age - q;
-            if lag < l || lag > self.window_length - l {
-                continue;
-            }
-            let idx = lag - l;
-            let y = buf.recent(q);
-            if let (Some(x), Some(y)) = (old, y) {
-                self.sums[idx] -= (x - y) * (x - y);
-                self.counts[idx] -= 1;
-            }
-            if let (Some(x), Some(y)) = (new, y) {
-                self.sums[idx] += (x - y) * (x - y);
-                self.counts[idx] += 1;
-            }
-        }
-        if age == self.window_length - 1 {
-            self.prev_oldest[ri] = new;
-        }
         Ok(())
     }
 
@@ -483,103 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn on_write_patches_current_tick_writes() {
-        let capacity = 16;
-        let l = 2;
-        let refs = vec![SeriesId(0), SeriesId(1)];
-        let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..(2 * capacity) {
-            let missing = t % 3 == 2;
-            let v0 = if missing {
-                None
-            } else {
-                Some((t as f64).sin())
-            };
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t as i64),
-                    vec![v0, Some((t as f64).cos())],
-                ))
-                .unwrap();
-            state.advance(&window).unwrap();
-            if missing {
-                // Imputed write-back at age 0, exactly as the engine does it.
-                window.write_imputed(SeriesId(0), 0, 0.25).unwrap();
-                state.on_write(&window, SeriesId(0), 0, None).unwrap();
-            }
-            assert_matches_exact(&state, &window, &refs, l, true);
-        }
-    }
-
-    #[test]
-    fn on_write_patches_historical_writes() {
-        let capacity = 16;
-        let l = 3;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..capacity {
-            // Missing at ticks 0, 1, 5, 9, 13 → ages 15, 14, 10, 6, 2 at the
-            // end of the loop: historical gaps on both the query side
-            // (age < l), the candidate side, and the about-to-evict slot
-            // (age L−1, which exercises the snapshot refresh).
-            let v = if t % 4 == 1 || t == 0 {
-                None
-            } else {
-                Some(t as f64 * 0.5)
-            };
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v]))
-                .unwrap();
-            state.advance(&window).unwrap();
-        }
-        for age in [2usize, 6, 10, 14, capacity - 1] {
-            let old = window.value_recent(SeriesId(0), age).unwrap();
-            assert!(old.is_none(), "age {age} expected to be a gap");
-            window.write_imputed(SeriesId(0), age, 7.25).unwrap();
-            state.on_write(&window, SeriesId(0), age, old).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, true);
-        }
-        // A few more ticks: the backfilled oldest slot must be dropped from
-        // the sums with its *written* value (snapshot path).
-        for t in capacity..(capacity + 4) {
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t as i64),
-                    vec![Some(t as f64 * 0.5)],
-                ))
-                .unwrap();
-            state.advance(&window).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, true);
-        }
-    }
-
-    #[test]
-    fn writes_to_non_reference_series_are_ignored() {
-        let capacity = 12;
-        let refs = vec![SeriesId(1)];
-        let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), 2, capacity, false).unwrap();
-        for t in 0..capacity {
-            let v0 = if t + 1 == capacity { None } else { Some(1.0) };
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t as i64),
-                    vec![v0, Some(t as f64)],
-                ))
-                .unwrap();
-            state.advance(&window).unwrap();
-        }
-        let before = state.clone();
-        window.write_imputed(SeriesId(0), 0, 9.0).unwrap();
-        state.on_write(&window, SeriesId(0), 0, None).unwrap();
-        assert_eq!(before.sums, state.sums);
-        assert_eq!(before.counts, state.counts);
-        assert_matches_exact(&state, &window, &refs, 2, false);
-    }
-
-    #[test]
     fn advance_stays_incremental_on_non_unit_cadence() {
         // Ticks 600 timestamp units apart (a 10-minute cadence at second
         // resolution): the one-step detection must still take the O(d)-per-lag
@@ -606,36 +432,6 @@ mod tests {
         // must have taken the incremental path.  A per-tick rebuild would
         // leave this counter at 0.
         assert_eq!(state.ticks_since_rebuild, total - 1);
-    }
-
-    #[test]
-    fn write_on_unsynced_state_forces_a_rebuild() {
-        // push -> advance -> push (no advance) -> write_imputed -> advance:
-        // the write arrives while the state is one tick behind, so it cannot
-        // be patched in; the state must drop its sync point and rebuild on
-        // the next advance instead of sliding past the unpatched slot.
-        let capacity = 12;
-        let l = 2;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..capacity {
-            let v = if t == 5 { None } else { Some((t as f64).sin()) };
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v]))
-                .unwrap();
-            if t + 1 < capacity {
-                state.advance(&window).unwrap();
-            }
-        }
-        // State is now exactly one tick behind; write into history.
-        let age = window.current_time().unwrap().tick() as usize - 5;
-        window.write_imputed(SeriesId(0), age, 0.75).unwrap();
-        state.on_write(&window, SeriesId(0), age, None).unwrap();
-        assert!(!state.is_synced(&window));
-        state.advance(&window).unwrap();
-        assert_eq!(state.ticks_since_rebuild, 0, "advance must have rebuilt");
-        assert_matches_exact(&state, &window, &refs, l, true);
     }
 
     #[test]

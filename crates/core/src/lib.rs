@@ -20,12 +20,13 @@
 //!    the selected anchor points (Definition 4, Algorithm 1).
 //! 5. **Streaming engine** ([`engine`]): per-tick processing of a whole set
 //!    of streams with reference selection, window maintenance and write-back
-//!    of imputed values.  By default it runs the composed candidate-pruning
-//!    path (item 8).  With `TkcmConfig::pruning = false` it maintains the
-//!    dissimilarity array `D` *incrementally* per tick ([`incremental`],
-//!    Section 6.2) — `O(d)` per candidate per tick instead of an `O(L·l·d)`
-//!    recompute per imputation — and with `incremental = false` as well it
-//!    runs the exact recompute, the oracle for cross-checking.
+//!    of imputed values.  It has two candidate paths: the composed
+//!    candidate-pruning path (item 8, the default) and, with
+//!    `TkcmConfig::pruning = false`, the exhaustive recompute, the oracle
+//!    for cross-checking.  Section 6.2's per-tick maintenance of the
+//!    dissimilarity array `D` (`O(d)` per candidate per tick instead of an
+//!    `O(L·l·d)` recompute per imputation) is the standalone
+//!    [`incremental`] type; the engine does not run it.
 //! 6. **Consistency diagnostics** ([`consistency`]): the ε of the
 //!    pattern-determination property (Definition 5) used in Figure 13.
 //! 7. **Phase timing** ([`diagnostics`]): pattern-extraction vs

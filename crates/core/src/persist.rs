@@ -4,8 +4,8 @@
 //! A [`crate::engine::TkcmEngine`] snapshot is the *complete* engine state:
 //! configuration, the streaming window (value rings, provenance rings,
 //! timestamp ring), the reference catalog, the accumulated phase breakdown,
-//! every live incremental dissimilarity maintainer with its bit-exact
-//! running sums, and every live warm start of the composed path.  Loading
+//! the composed path's signature index and every live warm start, and the
+//! running prune totals.  Loading
 //! it back and replaying the logged ticks since the snapshot ([`WalEntry`],
 //! applied through [`crate::engine::TkcmEngine::apply_wal_entry`])
 //! reproduces an engine that is bit-identical to one that never crashed —
@@ -19,20 +19,20 @@
 use std::time::Duration;
 
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
-use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
+use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow};
 
 use crate::config::{AnchorAggregation, TkcmConfig};
 use crate::diagnostics::PhaseBreakdown;
 use crate::dissimilarity::{Dissimilarity, L2Distance};
-use crate::engine::{Maintainer, TkcmEngine, WarmStart};
+use crate::engine::{TkcmEngine, WarmStart};
 use crate::imputer::{PruneStats, TkcmImputer};
-use crate::incremental::IncrementalDissimilarity;
 use crate::selection::SelectionStrategy;
 use crate::signature::{BlockSummary, SignatureIndex, SIGNATURE_BLOCK_LEN};
 
 /// One write-back logged alongside the tick that produced it: the imputed
 /// series, the reference set that served the imputation (needed to recreate
-/// the maintainer with the original timing) and the imputed value.
+/// the composed path's warm start with the original timing) and the imputed
+/// value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalWriteBack {
     /// The series that was imputed.
@@ -201,76 +201,6 @@ impl Snapshot for PhaseBreakdown {
             imputation: Duration::from_nanos(dec.u64()?),
             maintenance: Duration::from_nanos(dec.u64()?),
             imputations: dec.usize()?,
-        })
-    }
-}
-
-impl Snapshot for IncrementalDissimilarity {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        self.references.write_into(enc)?;
-        enc.usize(self.pattern_length);
-        enc.usize(self.window_length);
-        enc.bool(self.allow_missing);
-        self.sums.write_into(enc)?;
-        enc.usize(self.counts.len());
-        for c in &self.counts {
-            enc.u32(*c);
-        }
-        self.prev_oldest.write_into(enc)?;
-        match self.last_time {
-            Some(t) => {
-                enc.bool(true);
-                t.write_into(enc)?;
-            }
-            None => enc.bool(false),
-        }
-        enc.usize(self.ticks_since_rebuild);
-        Ok(())
-    }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let references: Vec<SeriesId> = Vec::read_from(dec)?;
-        let pattern_length = dec.usize()?;
-        let window_length = dec.usize()?;
-        let allow_missing = dec.bool()?;
-        let sums: Vec<f64> = Vec::read_from(dec)?;
-        let count_len = dec.seq_len()?;
-        let mut counts = Vec::with_capacity(count_len);
-        for _ in 0..count_len {
-            counts.push(dec.u32()?);
-        }
-        let prev_oldest: Vec<Option<f64>> = Vec::read_from(dec)?;
-        let last_time = if dec.bool()? {
-            Some(Timestamp::read_from(dec)?)
-        } else {
-            None
-        };
-        let ticks_since_rebuild = dec.usize()?;
-
-        // `window_length / 2 < pattern_length` is the overflow-safe spelling
-        // of `window_length < 2 * pattern_length` — decoded dimensions are
-        // untrusted and must not be fed into unchecked arithmetic.
-        if references.is_empty()
-            || pattern_length == 0
-            || window_length / 2 < pattern_length
-            || sums.len() != window_length - 2 * pattern_length + 1
-            || counts.len() != sums.len()
-            || prev_oldest.len() != references.len()
-        {
-            return Err(StoreError::invalid(
-                "incremental dissimilarity snapshot dimensions are inconsistent",
-            ));
-        }
-        Ok(IncrementalDissimilarity {
-            references,
-            pattern_length,
-            window_length,
-            allow_missing,
-            sums,
-            counts,
-            prev_oldest,
-            last_time,
-            ticks_since_rebuild,
         })
     }
 }
@@ -449,11 +379,6 @@ impl Snapshot for TkcmEngine {
         self.breakdown.write_into(enc)?;
         enc.usize(self.imputation_count);
         enc.usize(self.tick_count);
-        enc.usize(self.maintainers.len());
-        for m in &self.maintainers {
-            m.state.write_into(enc)?;
-            enc.usize(m.last_used);
-        }
         match &self.signatures {
             Some(index) => {
                 enc.bool(true);
@@ -480,18 +405,6 @@ impl Snapshot for TkcmEngine {
         let breakdown = PhaseBreakdown::read_from(dec)?;
         let imputation_count = dec.usize()?;
         let tick_count = dec.usize()?;
-        let maintainer_count = dec.seq_len()?;
-        let mut maintainers = Vec::with_capacity(maintainer_count);
-        for _ in 0..maintainer_count {
-            let state = IncrementalDissimilarity::read_from(dec)?;
-            let last_used = dec.usize()?;
-            if state.window_length() != config.window_length {
-                return Err(StoreError::invalid(
-                    "maintainer window length does not match the engine configuration",
-                ));
-            }
-            maintainers.push(Maintainer { state, last_used });
-        }
         let signatures = if dec.bool()? {
             let index = SignatureIndex::read_from(dec)?;
             if index.width() != window.width() {
@@ -562,7 +475,6 @@ impl Snapshot for TkcmEngine {
             breakdown,
             imputation_count,
             tick_count,
-            maintainers,
             signatures,
             warm_starts,
             level1_run_len,
@@ -575,6 +487,7 @@ impl Snapshot for TkcmEngine {
 mod tests {
     use super::*;
     use tkcm_store::{decode_from_slice, encode_to_vec};
+    use tkcm_timeseries::Timestamp;
 
     fn round_trip<T: Snapshot>(value: &T) -> T {
         decode_from_slice(&encode_to_vec(value).unwrap()).unwrap()
@@ -658,7 +571,7 @@ mod tests {
 
     #[test]
     fn engine_snapshot_restores_bit_identical_behaviour() {
-        // Run an engine through imputations (live maintainers), snapshot it,
+        // Run an engine through imputations (live warm starts), snapshot it,
         // restore, and drive both with identical further ticks: outcomes and
         // window contents must match bit for bit.
         let mut original = run_engine(120);
@@ -669,7 +582,7 @@ mod tests {
             restored.imputations_performed(),
             original.imputations_performed()
         );
-        assert_eq!(restored.maintainer_count(), original.maintainer_count());
+        assert_eq!(restored.warm_starts, original.warm_starts);
 
         for t in 120..200usize {
             let missing = t % 5 == 0;

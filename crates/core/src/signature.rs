@@ -1,7 +1,7 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
-//! The incremental maintenance of Section 6.2 made each candidate lag cheap
-//! (`O(d)`/tick), but the engine still touches *every* candidate, so the
+//! The incremental maintenance of Section 6.2 makes each candidate lag cheap
+//! (`O(d)`/tick), but it still touches *every* candidate, so the
 //! per-tick cost stays linear in the candidate count `J = L − 2l + 1`.  This
 //! module keeps a coarse, block-quantized summary of every series in the
 //! window — a piecewise min/max envelope plus a missing-slot count per block

@@ -8,18 +8,19 @@
 //! timestamp unit apart — so at a 600-second cadence every reported anchor
 //! time fell between two real ticks.
 
-use tkcm_core::{TkcmConfig, TkcmEngine};
+use tkcm_core::{EngineOutcome, TkcmConfig, TkcmEngine};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, Timestamp};
 
 const CADENCE: i64 = 600;
 
-fn config(incremental: bool) -> TkcmConfig {
+/// The test geometry on the composed (`pruning`) or exhaustive path.
+fn config(pruning: bool) -> TkcmConfig {
     TkcmConfig::builder()
         .window_length(256)
         .pattern_length(4)
         .anchor_count(3)
         .reference_count(2)
-        .incremental(incremental)
+        .pruning(pruning)
         .build()
         .unwrap()
 }
@@ -28,39 +29,49 @@ fn sine(t: usize, shift: f64) -> f64 {
     ((t as f64 - shift) / 32.0 * std::f64::consts::TAU).sin()
 }
 
-/// Streams 10-minute-cadence data with a gap and returns the engine plus all
-/// imputations `(tick index, Imputation)`.
-fn run_at_cadence(incremental: bool) -> (TkcmEngine, Vec<(usize, tkcm_core::Imputation)>) {
+fn unit_time(i: usize) -> i64 {
+    i as i64
+}
+
+fn cadence_time(i: usize) -> i64 {
+    i as i64 * CADENCE
+}
+
+/// Streams gapped data with tick `i` stamped `time_of(i)` and returns the
+/// engine plus every tick's outcome with its phase timings stripped.
+fn run_at_cadence(pruning: bool, time_of: fn(usize) -> i64) -> (TkcmEngine, Vec<EngineOutcome>) {
     let width = 3;
     let mut engine =
-        TkcmEngine::new(width, config(incremental), Catalog::ring_neighbours(width)).unwrap();
-    let mut imputations = Vec::new();
+        TkcmEngine::new(width, config(pruning), Catalog::ring_neighbours(width)).unwrap();
+    let mut outcomes = Vec::new();
     for i in 0..256usize {
         let missing = (200..220).contains(&i);
         let s0 = if missing { None } else { Some(sine(i, 0.0)) };
         let tick = StreamTick::new(
-            Timestamp::new(i as i64 * CADENCE),
+            Timestamp::new(time_of(i)),
             vec![s0, Some(sine(i, 5.0)), Some(sine(i, 11.0))],
         );
-        let outcome = engine.process_tick(&tick).unwrap();
-        for imp in outcome.imputations {
-            imputations.push((i, imp));
-        }
+        outcomes.push(engine.process_tick(&tick).unwrap().timing_stripped());
     }
-    (engine, imputations)
+    (engine, outcomes)
 }
 
 #[test]
 fn imputation_and_anchor_times_match_the_real_tick_times() {
-    for incremental in [true, false] {
-        let (engine, imputations) = run_at_cadence(incremental);
+    for pruning in [true, false] {
+        let (engine, outcomes) = run_at_cadence(pruning, cadence_time);
+        let imputations: Vec<_> = outcomes
+            .iter()
+            .enumerate()
+            .flat_map(|(i, o)| o.imputations.iter().map(move |imp| (i, imp)))
+            .collect();
         assert_eq!(imputations.len(), 20);
-        for (i, imp) in &imputations {
+        for (i, imp) in imputations {
             // The imputed time point is the arriving tick's own timestamp.
             assert_eq!(
                 imp.time,
-                Timestamp::new(*i as i64 * CADENCE),
-                "imputation time off at tick {i} (incremental={incremental})"
+                Timestamp::new(cadence_time(i)),
+                "imputation time off at tick {i} (pruning={pruning})"
             );
             assert!(!imp.detail.anchors.is_empty());
             for anchor in &imp.detail.anchors {
@@ -69,7 +80,7 @@ fn imputation_and_anchor_times_match_the_real_tick_times() {
                 assert_eq!(
                     anchor.time.tick() % CADENCE,
                     0,
-                    "anchor time {} is not a real tick time (incremental={incremental})",
+                    "anchor time {} is not a real tick time (pruning={pruning})",
                     anchor.time
                 );
                 assert!(anchor.time < imp.time);
@@ -79,7 +90,7 @@ fn imputation_and_anchor_times_match_the_real_tick_times() {
             // observed target values only).
             let anchor = imp.detail.anchors.last().unwrap();
             if let Ok(v) = engine.window().value_at(SeriesId(0), anchor.time) {
-                if *i == 255 {
+                if i == 255 {
                     assert_eq!(v, Some(anchor.value));
                 }
             }
@@ -89,34 +100,30 @@ fn imputation_and_anchor_times_match_the_real_tick_times() {
 
 #[test]
 fn cadence_does_not_change_what_gets_imputed() {
-    // The imputed *values* are a function of tick indices only — replaying
-    // the identical data at unit cadence must produce identical values, and
-    // the incremental and exact engines must agree at the real cadence.
-    let (_, at_cadence) = run_at_cadence(true);
-    let (_, exact) = run_at_cadence(false);
-    assert_eq!(at_cadence.len(), exact.len());
-    for ((i_a, a), (i_b, b)) in at_cadence.iter().zip(exact.iter()) {
-        assert_eq!(i_a, i_b);
-        assert_eq!(a.value, b.value, "incremental vs exact at tick {i_a}");
-    }
-
-    let width = 3;
-    let mut unit = TkcmEngine::new(width, config(true), Catalog::ring_neighbours(width)).unwrap();
-    let mut unit_imputations = Vec::new();
-    for i in 0..256usize {
-        let missing = (200..220).contains(&i);
-        let s0 = if missing { None } else { Some(sine(i, 0.0)) };
-        let tick = StreamTick::new(
-            Timestamp::new(i as i64),
-            vec![s0, Some(sine(i, 5.0)), Some(sine(i, 11.0))],
-        );
-        for imp in unit.process_tick(&tick).unwrap().imputations {
-            unit_imputations.push(imp.value);
+    // At every cadence the composed and exhaustive engines produce
+    // bit-identical outcomes.  The imputed *values* are a function of tick
+    // indices only, so replaying the identical data at another cadence must
+    // produce identical values (the reported times differ by design).
+    let imputed_values = |outcomes: &[EngineOutcome]| -> Vec<u64> {
+        outcomes
+            .iter()
+            .flat_map(|o| o.imputations.iter().map(|imp| imp.value.to_bits()))
+            .collect()
+    };
+    let (_, unit) = run_at_cadence(true, unit_time);
+    for time_of in [unit_time, cadence_time, jittered_time] {
+        let (_, composed) = run_at_cadence(true, time_of);
+        let (_, exhaustive) = run_at_cadence(false, time_of);
+        for (i, (a, b)) in composed.iter().zip(exhaustive.iter()).enumerate() {
+            assert_eq!(a, b, "composed vs exhaustive at tick {i}");
         }
+        assert_eq!(
+            imputed_values(&composed),
+            imputed_values(&unit),
+            "cadence changed an imputed value"
+        );
     }
-    for ((_, a), b) in at_cadence.iter().zip(unit_imputations.iter()) {
-        assert_eq!(a.value, *b, "cadence changed an imputed value");
-    }
+    assert_eq!(imputed_values(&unit).len(), 20);
 }
 
 /// Irregular (jittered) tick timestamps of a real-world sensor feed: the

@@ -1,15 +1,14 @@
 //! Property tests for the Section 6.2 incremental dissimilarity maintenance:
 //! the maintained `D[j]` must equal a from-scratch recompute (within
 //! floating-point epsilon) across random streams with gaps, random missing
-//! blocks, imputed write-backs and ring-buffer wrap-around.
+//! blocks and ring-buffer wrap-around.
 
 use proptest::prelude::*;
 
 use tkcm_core::{
     extract_pattern, extract_query_pattern, Dissimilarity, IncrementalDissimilarity, L2Distance,
-    TkcmConfig, TkcmEngine,
 };
-use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
+use tkcm_timeseries::{SeriesId, StreamTick, StreamingWindow, Timestamp};
 
 /// From-scratch `D` at one candidate lag, computed exactly like the exact
 /// imputer path: pattern extraction plus the L2 distance of Definition 2.
@@ -62,8 +61,8 @@ fn assert_state_matches(
 proptest! {
     /// Random two-series streams with random gaps, replayed for well past
     /// one full window so the ring buffers wrap and evict: after every tick
-    /// (and every imputed write-back) the maintained sums must match a
-    /// from-scratch recompute in both missing-value modes.
+    /// the maintained sums must match a from-scratch recompute in both
+    /// missing-value modes.
     #[test]
     fn incremental_d_matches_from_scratch_recompute(
         v0 in proptest::collection::vec(proptest::option::of(-100.0f64..100.0), 24..120),
@@ -86,148 +85,6 @@ proptest! {
                 .expect("tick accepted");
             state.advance(&window).expect("advance succeeds");
             assert_state_matches(&state, &window, &refs, l, allow_missing)?;
-
-            // Mimic the engine's write-back: when the current value of a
-            // reference is missing, impute *something* and patch the state.
-            for (i, v) in [v0[t], v1[t]].into_iter().enumerate() {
-                if v.is_none() && t % 3 != 0 {
-                    let id = SeriesId::from(i);
-                    window
-                        .write_imputed(id, 0, (t as f64) * 0.37 - i as f64)
-                        .expect("write accepted");
-                    state
-                        .on_write(&window, id, 0, None)
-                        .expect("on_write succeeds");
-                }
-            }
-            assert_state_matches(&state, &window, &refs, l, allow_missing)?;
         }
-    }
-
-    /// Historical write-backs at arbitrary ages (not just the engine's
-    /// age-0 write) are patched correctly too.
-    #[test]
-    fn incremental_d_survives_historical_writes(
-        values in proptest::collection::vec(proptest::option::of(-50.0f64..50.0), 30..90),
-        capacity in 8usize..16,
-        l_raw in 1usize..5,
-        write_ages in proptest::collection::vec(0usize..16, 1..6),
-    ) {
-        let l = l_raw.min(capacity / 2).max(1);
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true)
-            .expect("valid state parameters");
-
-        for (t, v) in values.iter().enumerate() {
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![*v]))
-                .expect("tick accepted");
-            state.advance(&window).expect("advance succeeds");
-        }
-        for (i, &age) in write_ages.iter().enumerate() {
-            let age = age % window.filled();
-            let old = window.value_recent(SeriesId(0), age).expect("valid age");
-            window
-                .write_imputed(SeriesId(0), age, i as f64 * 1.3 - 2.0)
-                .expect("write accepted");
-            state
-                .on_write(&window, SeriesId(0), age, old)
-                .expect("on_write succeeds");
-            assert_state_matches(&state, &window, &refs, l, true)?;
-        }
-    }
-
-    /// End to end: an engine with incremental maintenance and an engine on
-    /// the exact recompute path impute the same values on the same stream
-    /// (same missing slots, same skipped series, values equal to float
-    /// tolerance), including long outages where imputed history feeds later
-    /// patterns.
-    #[test]
-    fn engine_incremental_equals_exact_recompute(
-        period in 8.0f64..40.0,
-        shift1 in 1.0f64..10.0,
-        shift2 in 1.0f64..10.0,
-        gap_start_frac in 0.3f64..0.8,
-        gap_len in 3usize..20,
-        capacity in 48usize..96,
-    ) {
-        let width = 3;
-        let total = capacity * 2; // wrap the ring at least once
-        let gap_start = (total as f64 * gap_start_frac) as usize;
-        let l = 3;
-        // This property contrasts the PR-2 incremental path with the exact
-        // recompute path, so signature pruning (which replaces maintainers
-        // entirely) is switched off for both engines.
-        let base = TkcmConfig::builder()
-            .window_length(capacity)
-            .pattern_length(l)
-            .anchor_count(3)
-            .reference_count(2)
-            .pruning(false)
-            .build()
-            .unwrap();
-        let exact_config = TkcmConfig::builder()
-            .incremental(false)
-            .window_length(capacity)
-            .pattern_length(l)
-            .anchor_count(3)
-            .reference_count(2)
-            .pruning(false)
-            .build()
-            .unwrap();
-        prop_assert!(base.incremental);
-        prop_assert!(!exact_config.incremental);
-
-        let catalog = Catalog::ring_neighbours(width);
-        let mut inc_engine = TkcmEngine::new(width, base, catalog.clone()).unwrap();
-        let mut exact_engine = TkcmEngine::new(width, exact_config, catalog).unwrap();
-        prop_assert!(inc_engine.is_incremental());
-        prop_assert!(!exact_engine.is_incremental());
-
-        let wave = |t: usize, shift: f64| {
-            ((t as f64 - shift) / period * std::f64::consts::TAU).sin() * 10.0
-                + (t as f64) * 1e-3 // slight drift to break exact ties
-        };
-        let mut max_maintainers = 0usize;
-        for t in 0..total {
-            let s0_missing = (gap_start..gap_start + gap_len).contains(&t);
-            let s1_missing = t % 17 == 5;
-            let tick = StreamTick::new(
-                Timestamp::new(t as i64),
-                vec![
-                    if s0_missing { None } else { Some(wave(t, 0.0)) },
-                    if s1_missing { None } else { Some(wave(t, shift1)) },
-                    Some(wave(t, shift2)),
-                ],
-            );
-            let inc = inc_engine.process_tick(&tick).unwrap();
-            let exact = exact_engine.process_tick(&tick).unwrap();
-
-            prop_assert_eq!(&inc.skipped, &exact.skipped);
-            prop_assert_eq!(inc.imputations.len(), exact.imputations.len());
-            for (a, b) in inc.imputations.iter().zip(exact.imputations.iter()) {
-                prop_assert_eq!(a.series, b.series);
-                prop_assert_eq!(a.time, b.time);
-                prop_assert!(
-                    (a.value - b.value).abs() <= 1e-6 * (1.0 + b.value.abs()),
-                    "tick {}: incremental {} vs exact {}",
-                    t,
-                    a.value,
-                    b.value
-                );
-                prop_assert_eq!(a.detail.fallback, b.detail.fallback);
-            }
-            max_maintainers = max_maintainers.max(inc_engine.maintainer_count());
-        }
-        prop_assert_eq!(
-            inc_engine.imputations_performed(),
-            exact_engine.imputations_performed()
-        );
-        // Maintained states appear on demand on the incremental engine (and
-        // may be evicted again after 2l idle ticks); the exact engine never
-        // creates any.
-        prop_assert!(max_maintainers >= 1);
-        prop_assert_eq!(exact_engine.maintainer_count(), 0);
     }
 }

@@ -4,9 +4,9 @@
 //! The sharded runtime (`tkcm-runtime`) instead serves a wide fleet — many
 //! networks under one roof — and needs a workload shaped like one: clusters
 //! of mutually referencing series with **no candidate edges between
-//! clusters**, recurring short outages in every cluster (so the incremental
-//! maintainers stay hot, as in a real deployment), and a catalog whose
-//! connected components are exactly the clusters.
+//! clusters**, recurring short outages in every cluster (so the
+//! per-reference-set warm starts stay hot, as in a real deployment), and a
+//! catalog whose connected components are exactly the clusters.
 //!
 //! Each cluster gets its own daily-profile mixture (random phase, second
 //! harmonic, amplitude) and its members are phase-shifted, scaled copies of

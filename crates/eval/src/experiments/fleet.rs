@@ -147,7 +147,8 @@ pub fn storm_shape(scale: Scale, seed: u64) -> FleetConfig {
 }
 
 /// TKCM configuration for a fleet of `len` ticks at this scale (window over
-/// the whole workload, like the other experiments).
+/// the whole workload, like the other experiments) on the default composed
+/// path.
 fn fleet_tkcm_config(scale: Scale, len: usize) -> TkcmConfig {
     let l = scale.default_pattern_length();
     let k = scale.default_anchor_count();
@@ -156,11 +157,6 @@ fn fleet_tkcm_config(scale: Scale, len: usize) -> TkcmConfig {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(scale.default_reference_count())
-        // The fleet trend metrics have measured the Section 6.2 incremental
-        // path since PR 3; keep that fixed so `speedup_vs_1_shard` stays
-        // comparable across runs — the pruned path has its own
-        // `candidate_pruning` experiment and trend fields.
-        .pruning(false)
         .build()
         .expect("fleet configuration is valid")
 }

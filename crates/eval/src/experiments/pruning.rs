@@ -1,13 +1,11 @@
 //! Candidate pruning: the composed signature-pruned path against the
-//! exhaustive and incremental candidate sweeps, on one engine.
+//! exhaustive candidate sweep, on one engine.
 //!
-//! The same SBR-like workload is replayed through three engines that differ
-//! only in the candidate path:
+//! The same SBR-like workload is replayed through the engine's two
+//! candidate paths:
 //!
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
-//!   each imputation (`O(L·l·d)`), the baseline;
-//! * **incremental** — the Section 6.2 maintained dissimilarity array
-//!   (`O(L)` sweep);
+//!   each imputation (`O(L·l·d)`), the baseline and oracle;
 //! * **composed** — the default path: the previous imputation's anchor lags
 //!   seed the pruning threshold, a level-1 run prefilter skips whole blocks
 //!   of candidates, and per-lag signature bounds catch the rest, so only the
@@ -16,9 +14,7 @@
 //! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
 //! on every tick, which keeps the speedup columns honest: a faster number
-//! can never come from silently different answers.  The incremental run is
-//! only tolerance-equivalent to exact (its own property suite covers that),
-//! so here only its imputation count is asserted.
+//! can never come from silently different answers.
 //!
 //! Each mode is replayed [`repetitions`] times, interleaved (one replay of
 //! every mode per round), and the table reports the median wall time.  The
@@ -39,8 +35,8 @@ use crate::report::{Report, Table};
 
 use super::{dataset_for, Scale};
 
-/// The three candidate paths, in presentation (and baseline) order.
-pub const MODES: [&str; 3] = ["exhaustive", "incremental", "composed"];
+/// The two candidate paths, in presentation (and baseline) order.
+pub const MODES: [&str; 2] = ["exhaustive", "composed"];
 
 /// Interleaved replays per mode.  The quick workload is small enough that
 /// host noise moves a single replay by tens of percent, so it reports the
@@ -106,7 +102,6 @@ fn pruning_config(scale: Scale, len: usize, mode: &str) -> TkcmConfig {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(scale.default_reference_count())
-        .incremental(mode == "incremental")
         .pruning(mode == "composed")
         .build()
         .expect("pruning sweep configuration is valid")
@@ -125,8 +120,6 @@ pub struct PruningRun {
     pub imputations: usize,
     /// Throughput relative to the exhaustive baseline.
     pub speedup_vs_exhaustive: f64,
-    /// Throughput relative to the incremental (Section 6.2) path.
-    pub speedup_vs_incremental: f64,
     /// Fraction of candidates the signature lower bound pruned away without
     /// an exact evaluation (0 for the non-pruned modes).
     pub pruned_fraction: f64,
@@ -135,7 +128,7 @@ pub struct PruningRun {
     pub level1_skipped_fraction: f64,
 }
 
-/// Replays the default workload through all three modes.
+/// Replays the default workload through both modes.
 pub fn run_pruning_benchmark(scale: Scale) -> Vec<PruningRun> {
     let dataset = dataset_for(DatasetKind::Sbr, scale, 2024);
     run_pruning_benchmark_on(&dataset, scale)
@@ -174,20 +167,13 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             }
             walls[m].push(start.elapsed().as_secs_f64());
 
+            // Admissibility in action: the pruned path must reproduce the
+            // exhaustive answers exactly, down to the value bits.
             let baseline = reference.get_or_insert_with(|| imputed.clone());
             assert_eq!(
-                baseline.len(),
-                imputed.len(),
-                "{mode} mode changed the imputation count"
+                *baseline, imputed,
+                "{mode} mode diverged from the exhaustive reference"
             );
-            if mode == "composed" {
-                // Admissibility in action: the pruned path must reproduce
-                // the exhaustive answers exactly, down to the value bits.
-                assert_eq!(
-                    *baseline, imputed,
-                    "{mode} mode diverged from the exhaustive reference"
-                );
-            }
             // Counters are deterministic, so one round's totals stand for all.
             if round == 0 {
                 totals.push(engine.prune_totals());
@@ -213,7 +199,6 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             ticks_per_second: ticks.len() as f64 / wall,
             imputations,
             speedup_vs_exhaustive: medians[0] / wall,
-            speedup_vs_incremental: medians[1] / wall,
             pruned_fraction: fraction(totals.pruned, totals.candidates),
             level1_skipped_fraction: fraction(totals.level1_skipped, totals.candidates),
         })
@@ -260,7 +245,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
             "ticks_per_second".to_string(),
             "imputations".to_string(),
             "speedup_vs_exhaustive".to_string(),
-            "speedup_vs_incremental".to_string(),
             "pruned_fraction".to_string(),
             "level1_skipped_fraction".to_string(),
         ],
@@ -273,7 +257,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
                 run.ticks_per_second,
                 run.imputations as f64,
                 run.speedup_vs_exhaustive,
-                run.speedup_vs_incremental,
                 run.pruned_fraction,
                 run.level1_skipped_fraction,
             ],
@@ -311,15 +294,12 @@ mod tests {
             assert_eq!(run.imputations, imputations);
             assert!(run.ticks_per_second.is_finite() && run.ticks_per_second > 0.0);
             assert!(run.speedup_vs_exhaustive > 0.0);
-            assert!(run.speedup_vs_incremental > 0.0);
         }
-        assert_eq!(runs[0].speedup_vs_exhaustive, 1.0);
-        assert_eq!(runs[1].speedup_vs_incremental, 1.0);
-        for baseline in &runs[..2] {
-            assert_eq!(baseline.pruned_fraction, 0.0);
-            assert_eq!(baseline.level1_skipped_fraction, 0.0);
-        }
-        let composed = &runs[2];
+        let exhaustive = &runs[0];
+        assert_eq!(exhaustive.speedup_vs_exhaustive, 1.0);
+        assert_eq!(exhaustive.pruned_fraction, 0.0);
+        assert_eq!(exhaustive.level1_skipped_fraction, 0.0);
+        let composed = &runs[1];
         assert_eq!(composed.mode, "composed");
         assert!(
             composed.pruned_fraction > 0.0 && composed.pruned_fraction <= 1.0,
@@ -335,7 +315,7 @@ mod tests {
         let report = report_from(&dataset, Scale::Quick, &runs);
         let table = report.table("Candidate pruning by mode").unwrap();
         assert_eq!(table.rows.len(), MODES.len());
-        assert_eq!(table.headers.len(), 8);
+        assert_eq!(table.headers.len(), 7);
         assert!(table.cell("composed", "pruned_fraction").unwrap() > 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);
         assert!(report.notes.iter().any(|n| n.contains("bit-identical")));

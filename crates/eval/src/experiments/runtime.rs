@@ -3,21 +3,23 @@
 //! The paper shows that the naive recompute-all implementation is linear in
 //! every parameter (`l`, `d`, `k`, `L`) and dominated by the
 //! pattern-extraction (PE) phase (~92 % for the default `k`).  With the
-//! Section 6.2 incremental maintenance — the engine's default since the
-//! `incremental` module landed — the per-imputation cost no longer depends
-//! on `l` or `d` at all: extraction shrinks to an `O(L)` sweep over the
-//! maintained `D`, the `O(L·d)` sliding-aggregate update moves into a
-//! separate per-tick maintenance phase, and pattern selection (the dynamic
-//! program) becomes the dominant per-imputation cost.  This module measures
-//! both paths so the speedup and the new phase profile are visible side by
-//! side; the Criterion benches in `tkcm-bench` repeat the measurements with
-//! proper statistics.
+//! Section 6.2 incremental maintenance (the standalone
+//! [`IncrementalDissimilarity`] state, driven directly here) the
+//! per-imputation cost no longer depends on `l` or `d` at all: extraction
+//! shrinks to an `O(L)` sweep over the maintained `D`, the `O(L·d)`
+//! sliding-aggregate update moves into a separate per-tick maintenance
+//! phase, and pattern selection (the dynamic program) becomes the dominant
+//! per-imputation cost.  This module measures both paths so the speedup and
+//! the new phase profile are visible side by side; the Criterion benches in
+//! `tkcm-bench` repeat the measurements with proper statistics.  (The
+//! streaming engine runs neither: its default is the composed pruning path,
+//! measured by the `candidate_pruning` experiment.)
 
 use std::time::Instant;
 
-use tkcm_core::{IncrementalDissimilarity, TkcmConfig, TkcmEngine, TkcmImputer};
+use tkcm_core::{IncrementalDissimilarity, PhaseBreakdown, TkcmConfig, TkcmImputer};
 use tkcm_datasets::DatasetKind;
-use tkcm_timeseries::{Catalog, SeriesId, StreamSource, StreamTick, StreamingWindow};
+use tkcm_timeseries::{SeriesId, StreamSource, StreamTick, StreamingWindow};
 
 use crate::report::{Report, Table};
 
@@ -103,9 +105,9 @@ fn average_impute_seconds(
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// Measures the steady-state seconds of one imputation on the default
+/// Measures the steady-state seconds of one imputation on the maintained
 /// (incremental, Section 6.2) path: the maintained `D` state is built once
-/// outside the measurement, exactly like the engine keeps it between ticks.
+/// outside the measurement, as a stream keeps it between ticks.
 pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window: usize) -> f64 {
     let workload = build_workload(scale, window, d);
     let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
@@ -121,7 +123,7 @@ pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window
 }
 
 /// Measures the seconds of one imputation on the exact recompute-all path
-/// (`TkcmConfig::incremental = false`) — the pre-Section-6.2 baseline.
+/// — the pre-Section-6.2 baseline.
 pub fn time_single_imputation_exact(
     scale: Scale,
     l: usize,
@@ -145,55 +147,75 @@ pub struct PhaseShares {
     pub maintenance: f64,
 }
 
+/// Replays the SBR-1d stand-in with the target (series 0) missing over a
+/// tail gap and imputes every gap tick, on the maintained path
+/// (`incremental`) or the exact recompute.  The maintained state is created
+/// at the first gap tick and advanced on every tick from then on, its
+/// rebuild and advances timed as maintenance.  The target is never a
+/// reference, so its imputed write-backs leave the state valid.
 fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
-    let window = match scale {
+    let window_length = match scale {
         Scale::Quick => 2_000,
         Scale::Paper => 20_000,
     };
     let l = scale.default_pattern_length();
     let dataset = dataset_for(DatasetKind::SbrShifted, scale, 5);
-    let width = dataset.width();
     let config = TkcmConfig::builder()
-        .window_length(window.max((k + 1) * l))
+        .window_length(window_length.max((k + 1) * l))
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(3)
-        .incremental(incremental)
-        // This experiment contrasts the Section 6.2 incremental path with
-        // the exact recompute path; signature pruning (PR 7) would replace
-        // both, so it is measured by its own `candidate_pruning` experiment.
-        .pruning(false)
         .build()
         .expect("valid config");
-    let mut catalog = Catalog::new();
-    catalog
-        .set_candidates(SeriesId(0), (1..width).map(SeriesId::from).collect())
-        .expect("valid catalog");
-    let mut engine = TkcmEngine::new(width, config, catalog).expect("valid engine");
-    assert_eq!(engine.is_incremental(), incremental);
+    let imputer = TkcmImputer::new(config).expect("valid config");
+    let config = imputer.config();
+    let target = SeriesId(0);
+    // The references are never missing, so these are the first `d` ranked
+    // candidates reference selection would pick for the target.
+    let references: Vec<SeriesId> = (1..=config.reference_count).map(SeriesId::from).collect();
+    let mut window = StreamingWindow::new(dataset.width(), config.window_length);
+    let mut state: Option<IncrementalDissimilarity> = None;
+    let mut breakdown = PhaseBreakdown::default();
 
-    // Replay the stream with the target missing over a tail gap, so the
-    // breakdown covers the real tick path: per-tick maintenance plus one
-    // imputation per gap tick.
-    let len = dataset.len().min(window);
+    let len = dataset.len().min(window_length);
     let gap = 32.min(len / 4);
     let stream = dataset.to_stream();
-    for (i, tick) in stream.ticks().enumerate() {
-        if i >= len {
-            break;
+    for (i, tick) in stream.ticks().take(len).enumerate() {
+        let in_gap = i + gap >= len;
+        let mut values = tick.values.clone();
+        if in_gap {
+            values[target.index()] = None;
         }
-        if i + gap >= len {
-            let mut values = tick.values.clone();
-            values[0] = None;
-            engine
-                .process_tick(&StreamTick::new(tick.time, values))
-                .expect("tick accepted");
-        } else {
-            engine.process_tick(&tick).expect("tick accepted");
+        window
+            .push_tick(&StreamTick::new(tick.time, values))
+            .expect("tick accepted");
+        if incremental && in_gap {
+            let start = Instant::now();
+            let state = state.get_or_insert_with(|| {
+                IncrementalDissimilarity::new(
+                    references.clone(),
+                    l,
+                    config.window_length,
+                    config.allow_missing_in_patterns,
+                )
+                .expect("valid state")
+            });
+            state.advance(&window).expect("advance succeeds");
+            breakdown.maintenance += start.elapsed();
+        }
+        if in_gap {
+            let detail = match &state {
+                Some(state) => imputer.impute_maintained(&window, target, &references, state),
+                None => imputer.impute(&window, target, &references),
+            }
+            .expect("imputation succeeds");
+            window
+                .write_imputed(target, 0, detail.value)
+                .expect("write-back accepted");
+            breakdown.merge(&detail.breakdown);
         }
     }
-    assert_eq!(engine.imputations_performed(), gap);
-    let breakdown = engine.phase_breakdown();
+    assert_eq!(breakdown.imputations, gap);
     PhaseShares {
         extraction: breakdown.extraction_share(),
         selection: breakdown.selection_share(),
@@ -201,7 +223,7 @@ fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
     }
 }
 
-/// Phase shares of the default incremental engine for the given `k`.
+/// Phase shares of the maintained (Section 6.2) path for the given `k`.
 pub fn phase_shares(scale: Scale, k: usize) -> PhaseShares {
     phase_shares_for(scale, k, true)
 }
@@ -235,7 +257,8 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new("Figure 17: runtime linearity and phase breakdown");
     report.note("Seconds per single imputation while sweeping one parameter (SBR-1d stand-in)");
     report.note(
-        "Default path: incremental D maintenance (Section 6.2) — flat in l and d, linear in k/L",
+        "Timed path: incremental D maintenance (Section 6.2, standalone state) — flat in l and \
+         d, linear in k/L",
     );
     let (ls, ds, ks, windows) = sweep(scale);
     let base_window = match scale {

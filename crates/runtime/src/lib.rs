@@ -18,7 +18,7 @@
 //! One OS thread per shard, alive for the lifetime of the engine (`std::
 //! thread` + `std::sync::mpsc`; no external dependencies).  Each worker owns
 //! the engines of the components currently assigned to its shard — window,
-//! catalog and incremental dissimilarity states never cross a thread
+//! catalog, signature index and warm starts never cross a thread
 //! boundary mid-flight, so no locking is needed anywhere.  The ingestion
 //! path is **batch-native**: one job carries a whole batch of per-component
 //! sub-ticks to each worker, and exactly one result per worker is received
@@ -64,6 +64,9 @@
 //!   stream equals sequential per-shard execution of the same engines,
 //!   imputation for imputation, at any pipeline depth and across any
 //!   sequence of migrations (the property the equivalence tests pin).
+//! * Every engine runs one of the core's two candidate paths, as its
+//!   configuration selects: the composed pruning path (the default) or the
+//!   exhaustive oracle.  Fleets on the two paths are bit-identical too.
 //!
 //! ## Durability
 //!

@@ -4,8 +4,9 @@
 //! write-ahead logs.
 //!
 //! The paper's engine is purely in-memory — a streaming window of the last
-//! `L` ticks plus the incrementally maintained dissimilarity state of
-//! Section 6.2 — so any process restart forgets the window and silently
+//! `L` ticks plus the state its candidate path carries between imputations
+//! (here: the composed path's signature index and warm starts; the
+//! exhaustive path carries none) — so any process restart forgets the window and silently
 //! degrades the next `l` imputations.  This crate is the persistence layer
 //! underneath the runtime: engines **checkpoint** their full state into a
 //! versioned snapshot file, log every processed tick (and the write-backs it

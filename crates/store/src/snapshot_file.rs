@@ -46,8 +46,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// per-shard snapshots became per-component engine sets (elastic-fleet PR);
 /// 5 — the engine snapshot grew the composed path's shortlist maintainers
 /// and the persisted prune totals (composed-pruning PR); 6 — the shortlist
-/// maintainers gave way to per-reference-set warm starts (anchor lags only).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
+/// maintainers gave way to per-reference-set warm starts (anchor lags only);
+/// 7 — the engine snapshot dropped its dense Section 6.2 maintainer section
+/// (the engine keeps only the composed and exhaustive paths).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in
